@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_LABEL ?= $(shell date +%Y%m%d)
 
-.PHONY: all build test race vet lint faults trace-smoke ci bench bench-json bench-diff bench-scale
+.PHONY: all build test race vet lint faults trace-smoke slimbench-test ci bench bench-json bench-diff bench-scale
 
 all: build
 
@@ -48,7 +48,15 @@ faults:
 trace-smoke:
 	$(GO) test -run TraceSmoke ./cmd/trimq/ ./cmd/slimpad/
 
-ci: lint build race faults trace-smoke
+# The benchmark module's tests (cmd/slimbench/README.md): cmd/slimbench is
+# a nested module, so the root `go test ./...` does not reach it. Runs the
+# unit tests and a short smoke run of every workload, which ends journal by
+# checking that the reopened WAL equals the live store. Module settings as
+# in cmd/slimbench/run.sh: no proxy, go.mod resolved in place.
+slimbench-test:
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) -C cmd/slimbench test ./...
+
+ci: lint build race faults trace-smoke slimbench-test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -3,10 +3,12 @@ package mark
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/base"
 	"repro/internal/obs"
+	"repro/internal/trim"
 )
 
 // ResolveContext names the default resolver (drive the base viewer);
@@ -27,8 +29,21 @@ type Manager struct {
 	mu        *obs.TrackedRWMutex
 	modules   map[string]Module              // guarded by mu
 	resolvers map[string]map[string]Resolver // scheme -> name -> resolver; guarded by mu
-	marks     map[string]Mark                // guarded by mu
+	marks     map[string]Mark                // written only by writeLocked; guarded by mu
 	nextSeq   int                            // guarded by mu
+
+	// changed records the ids written since the manager last synced with
+	// the store in synced, which is what lets SaveTo write only those ids.
+	// The value says whether that store holds the id: it is read from
+	// marks when the id first changes.
+	changed map[string]bool // guarded by mu
+	// synced is the store the manager last loaded from or saved to, nil
+	// when none. A save to any other store reconciles in full.
+	synced *trim.Manager // guarded by mu
+	// syncMu serializes SaveTo and LoadFrom, so two saves cannot apply
+	// their snapshots out of order and a load cannot interleave with a
+	// save. It is taken before mu.
+	syncMu sync.Mutex
 
 	// retry governs the resilient resolution path (resilience.go);
 	// quarantine holds marks whose last resolution failed permanently.
@@ -43,6 +58,7 @@ func NewManager() *Manager {
 		modules:    make(map[string]Module),
 		resolvers:  make(map[string]map[string]Resolver),
 		marks:      make(map[string]Mark),
+		changed:    make(map[string]bool),
 		retry:      DefaultRetryPolicy,
 		quarantine: make(map[string]QuarantineEntry),
 	}
@@ -131,7 +147,7 @@ func (mm *Manager) CreateFromSelection(scheme string) (Mark, error) {
 		return Mark{}, err
 	}
 	mm.mu.Lock()
-	mm.marks[m.ID] = m
+	mm.writeLocked(m.ID, m, true)
 	mm.mu.Unlock()
 	markOpDone("create", scheme, start, nil)
 	return m, nil
@@ -148,7 +164,7 @@ func (mm *Manager) Add(m Mark) error {
 	if _, ok := mm.marks[m.ID]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateMark, m.ID)
 	}
-	mm.marks[m.ID] = m
+	mm.writeLocked(m.ID, m, true)
 	obs.C(obs.NameMarkMarksAdded).Inc()
 	return nil
 }
@@ -183,7 +199,7 @@ func (mm *Manager) Remove(id string) bool {
 	if _, ok := mm.marks[id]; !ok {
 		return false
 	}
-	delete(mm.marks, id)
+	mm.writeLocked(id, Mark{}, false)
 	delete(mm.quarantine, id)
 	obs.C(obs.NameMarkMarksRemoved).Inc()
 	return true
@@ -269,6 +285,29 @@ func (mm *Manager) Refresh(id string) (content string, changed bool, err error) 
 	}
 	changed = m.Excerpt != el.Content
 	m.Excerpt = el.Content
-	mm.marks[id] = m
+	mm.writeLocked(id, m, true)
 	return el.Content, changed, nil
+}
+
+// writeLocked is the only writer of the mark map: it stores m under id,
+// or deletes id when keep is false, and records id in changed so the next
+// SaveTo writes it. Storing a mark equal to the stored one changes
+// nothing. A mark created and removed again since the last sync leaves no
+// record, since the synced store never held it. Caller holds mu.
+func (mm *Manager) writeLocked(id string, m Mark, keep bool) {
+	old, stored := mm.marks[id]
+	if keep && stored && old == m {
+		return
+	}
+	if _, seen := mm.changed[id]; !seen {
+		mm.changed[id] = stored
+	}
+	if keep {
+		mm.marks[id] = m
+		return
+	}
+	delete(mm.marks, id)
+	if !mm.changed[id] {
+		delete(mm.changed, id)
+	}
 }

@@ -245,7 +245,7 @@ func (mm *Manager) RefreshCtx(ctx context.Context, id string) (content string, c
 	}
 	changed = m.Excerpt != el.Content
 	m.Excerpt = el.Content
-	mm.marks[id] = m
+	mm.writeLocked(id, m, true)
 	return el.Content, changed, nil
 }
 

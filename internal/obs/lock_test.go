@@ -75,6 +75,35 @@ func TestTrackedMutexContention(t *testing.T) {
 	}
 }
 
+// TestTrackedRWMutexReaderOutwaitsSpin: a reader blocked by a writer for
+// far longer than readSpin still gets the lock once the writer leaves, and
+// its one recorded wait covers both the spin and the park.
+func TestTrackedRWMutexReaderOutwaitsSpin(t *testing.T) {
+	m := NewTrackedRWMutex("test.lock.readspin")
+	const holdFor = 20 * time.Millisecond
+	m.Lock()
+	var started sync.WaitGroup
+	started.Add(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		started.Done()
+		m.RLock()
+		m.RUnlock()
+	}()
+	started.Wait()
+	time.Sleep(holdFor)
+	m.Unlock()
+	<-done
+	st, _ := LockProfile("test.lock.readspin")
+	if st.Read == nil || st.Read.Total != 1 || st.Read.Contended != 1 {
+		t.Fatalf("read stats %+v, want one contended acquisition", st.Read)
+	}
+	if st.Read.WaitMeanNS < float64(holdFor/2) {
+		t.Fatalf("recorded read wait %.0fns, want about the %v the writer held", st.Read.WaitMeanNS, holdFor)
+	}
+}
+
 // TestTrackedRWMutexRace hammers the lock from concurrent readers and
 // writers; under -race this doubles as the data-race check for the
 // tracked bookkeeping itself.

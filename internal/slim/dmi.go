@@ -109,7 +109,7 @@ func (d *DMI) Create(constructID string, props map[string]any) (*Object, error) 
 // CreateCtx is Create under the caller's trace: the op span and the TRIM
 // work it fans out into all join the context's trace tree.
 func (d *DMI) CreateCtx(ctx context.Context, constructID string, props map[string]any) (obj *Object, err error) {
-	ctx, op := startOpCtx(ctx, "create", constructID)
+	ctx, op := startOpCtx(ctx, dmiCreate, constructID)
 	touched := 0
 	defer func() { op.done(touched, err) }()
 	c, ok := d.model.Construct(constructID)
@@ -153,7 +153,7 @@ func (d *DMI) Get(id rdf.Term) (*Object, error) {
 
 // GetCtx is Get under the caller's trace.
 func (d *DMI) GetCtx(ctx context.Context, id rdf.Term) (obj *Object, err error) {
-	ctx, op := startOpCtx(ctx, "get", id.Value())
+	ctx, op := startOpCtx(ctx, dmiGet, id.Value())
 	triples := d.store.trim.SelectCtx(ctx, rdf.P(id, rdf.Zero, rdf.Zero))
 	defer func() { op.done(len(triples), err) }()
 	if len(triples) == 0 {
@@ -187,7 +187,7 @@ func (d *DMI) Set(id rdf.Term, connectorID string, value any) error {
 // apply appear as child spans — the interpretation overhead §6 prices,
 // made visible per request.
 func (d *DMI) SetCtx(ctx context.Context, id rdf.Term, connectorID string, value any) (err error) {
-	ctx, op := startOpCtx(ctx, "set", connectorID)
+	ctx, op := startOpCtx(ctx, dmiSet, connectorID)
 	defer func() { op.done(2, err) }()
 	obj, err := d.GetCtx(ctx, id)
 	if err != nil {
@@ -219,7 +219,7 @@ func (d *DMI) Add(id rdf.Term, connectorID string, value any) error {
 
 // AddCtx is Add under the caller's trace.
 func (d *DMI) AddCtx(ctx context.Context, id rdf.Term, connectorID string, value any) (err error) {
-	ctx, op := startOpCtx(ctx, "add", connectorID)
+	ctx, op := startOpCtx(ctx, dmiAdd, connectorID)
 	defer func() { op.done(1, err) }()
 	obj, err := d.GetCtx(ctx, id)
 	if err != nil {
@@ -250,7 +250,7 @@ func (d *DMI) Unset(id rdf.Term, connectorID string, value any) error {
 
 // UnsetCtx is Unset under the caller's trace.
 func (d *DMI) UnsetCtx(ctx context.Context, id rdf.Term, connectorID string, value any) (err error) {
-	ctx, op := startOpCtx(ctx, "unset", connectorID)
+	ctx, op := startOpCtx(ctx, dmiUnset, connectorID)
 	defer func() { op.done(1, err) }()
 	term, err := Value(value)
 	if err != nil {
@@ -274,7 +274,7 @@ func (d *DMI) Delete(id rdf.Term, cascade bool) error {
 // child spans of this one, so the containment fan-out is visible as a
 // subtree.
 func (d *DMI) DeleteCtx(ctx context.Context, id rdf.Term, cascade bool) (err error) {
-	ctx, op := startOpCtx(ctx, "delete", id.Value())
+	ctx, op := startOpCtx(ctx, dmiDelete, id.Value())
 	before := d.store.trim.Len()
 	// A cascading delete's triple count includes the nested deletes, which
 	// also record their own ops — the nesting is visible in the trace ring.
@@ -329,7 +329,7 @@ func (d *DMI) InstancesOf(constructID string) ([]*Object, error) {
 // InstancesOfCtx is InstancesOf under the caller's trace; every per-
 // instance Get is a child span.
 func (d *DMI) InstancesOfCtx(ctx context.Context, constructID string) (out []*Object, err error) {
-	ctx, op := startOpCtx(ctx, "instancesof", constructID)
+	ctx, op := startOpCtx(ctx, dmiInstancesOf, constructID)
 	defer func() { op.done(0, err) }()
 	if _, ok := d.model.Construct(constructID); !ok {
 		return nil, fmt.Errorf("slim: %s is not a construct of model %s", constructID, d.model.ID)
@@ -369,7 +369,7 @@ func (d *DMI) View(id rdf.Term) *rdf.Graph {
 
 // ViewCtx is View under the caller's trace.
 func (d *DMI) ViewCtx(ctx context.Context, id rdf.Term) *rdf.Graph {
-	ctx, op := startOpCtx(ctx, "view", id.Value())
+	ctx, op := startOpCtx(ctx, dmiView, id.Value())
 	g := d.store.trim.ViewCtx(ctx, id)
 	op.done(g.Len(), nil)
 	return g

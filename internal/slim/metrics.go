@@ -3,6 +3,7 @@ package slim
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -25,10 +26,42 @@ var (
 	mTriplesPerOp   = obs.HSize(obs.NameSlimTriplesPerOp)
 )
 
+// dmiOpKind is one DMI operation's span name and latency/total handles.
+// They are resolved once, on the op's first call, so a call builds no name
+// and takes no registry lock; resolving lazily keeps an op that never runs
+// out of the exported metrics.
+type dmiOpKind struct {
+	op    string // the metric infix ("create", "get", ...)
+	once  sync.Once
+	span  string
+	ns    *obs.Histogram
+	total *obs.Counter
+}
+
+// The DMI operations, one per metric infix.
+var (
+	dmiCreate      = &dmiOpKind{op: "create"}
+	dmiGet         = &dmiOpKind{op: "get"}
+	dmiSet         = &dmiOpKind{op: "set"}
+	dmiAdd         = &dmiOpKind{op: "add"}
+	dmiUnset       = &dmiOpKind{op: "unset"}
+	dmiDelete      = &dmiOpKind{op: "delete"}
+	dmiInstancesOf = &dmiOpKind{op: "instancesof"}
+	dmiView        = &dmiOpKind{op: "view"}
+)
+
+func (k *dmiOpKind) resolve() {
+	k.once.Do(func() {
+		k.span = "dmi." + k.op
+		k.ns = obs.H(fmt.Sprintf(obs.FmtSlimDmiNS, k.op))
+		k.total = obs.C(fmt.Sprintf(obs.FmtSlimDmiTotal, k.op))
+	})
+}
+
 // dmiOp is an in-flight DMI operation; start with startOpCtx, finish with
-// done. The op string is the metric/infix ("create", "get", ...).
+// done.
 type dmiOp struct {
-	op    string
+	kind  *dmiOpKind
 	start time.Time
 	span  *obs.Span
 }
@@ -37,19 +70,20 @@ type dmiOp struct {
 // new root for plain, context-free entry points, which pass nil) and
 // returns the context to thread into the TRIM layer, so the store's
 // selects and batch applies appear under this op in the trace tree.
-func startOpCtx(ctx context.Context, op, detail string) (context.Context, dmiOp) {
-	ctx, span := obs.StartCtx(ctx, "dmi."+op, detail)
-	return ctx, dmiOp{op: op, start: time.Now(), span: span}
+func startOpCtx(ctx context.Context, kind *dmiOpKind, detail string) (context.Context, dmiOp) {
+	kind.resolve()
+	ctx, span := obs.StartCtx(ctx, kind.span, detail)
+	return ctx, dmiOp{kind: kind, start: time.Now(), span: span}
 }
 
 // done records the operation. triples is the number of triples the op
 // touched (read or wrote); pass 0 when the op failed before touching any.
 func (o dmiOp) done(triples int, err error) {
-	obs.H(fmt.Sprintf(obs.FmtSlimDmiNS, o.op)).ObserveSince(o.start)
-	obs.C(fmt.Sprintf(obs.FmtSlimDmiTotal, o.op)).Inc()
+	o.kind.ns.ObserveSince(o.start)
+	o.kind.total.Inc()
 	if err != nil {
-		obs.C(fmt.Sprintf(obs.FmtSlimDmiErrors, o.op)).Inc()
-		obs.Log().Warn("dmi op failed", "op", o.op, "err", err)
+		obs.C(fmt.Sprintf(obs.FmtSlimDmiErrors, o.kind.op)).Inc()
+		obs.Log().Warn("dmi op failed", "op", o.kind.op, "err", err)
 	} else if triples > 0 {
 		mTriplesTouched.Add(int64(triples))
 		mTriplesPerOp.Observe(int64(triples))

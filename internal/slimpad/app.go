@@ -216,9 +216,11 @@ func (a *App) Load(fileName string) ([]SlimPad, error) {
 }
 
 // SaveWith persists the pad state and the marks through a pluggable
-// durability backend opened over this app's store: with the WAL backend a
-// save costs one fsynced record covering the mutations since the last
-// save, O(batch), instead of the XML snapshot's O(store) rewrite.
+// durability backend opened over this app's store. The mark manager writes
+// only the marks changed since it last synced with the store
+// (mark.Manager.SaveTo), so with the WAL backend a save costs one fsynced
+// record holding just the mutations since the last save, O(batch), instead
+// of the XML snapshot's O(store) rewrite.
 func (a *App) SaveWith(b trim.Backend) error {
 	if err := a.marks.SaveTo(a.dmi.Store().Trim()); err != nil {
 		return err

@@ -2,12 +2,14 @@ package slimpad
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/base/spreadsheet"
 	"repro/internal/base/xmldoc"
 	"repro/internal/mark"
+	"repro/internal/trim"
 )
 
 const labXML = `<report>
@@ -324,6 +326,84 @@ func TestAppSaveLoadWithMarks(t *testing.T) {
 	}
 	if el.Content != "Furosemide" {
 		t.Errorf("Content after reload = %q", el.Content)
+	}
+}
+
+// walCounter is a WAL backend that records, at every Save, how many
+// captured ops the save is about to commit.
+type walCounter struct {
+	*trim.WALStore
+	commits []int
+}
+
+func (w *walCounter) Save() error {
+	w.commits = append(w.commits, w.Pending())
+	return w.WALStore.Save()
+}
+
+// TestSaveWithCommitsOnlyTheEdit: on a WAL-backed pad, a save after one
+// scrap move commits the move's two triple changes and nothing for the
+// marks it left alone.
+func TestSaveWithCommitsOnlyTheEdit(t *testing.T) {
+	f := newFixture(t)
+	_, root, _ := f.app.NewPad("Rounds")
+	f.sheets.Open("meds.xls")
+	var scraps []Scrap
+	for _, cell := range []string{"A2", "B2", "A3"} {
+		r, _ := spreadsheet.ParseRange(cell)
+		f.sheets.SelectRange("Meds", r)
+		s, err := f.app.ClipSelection(root.ID(), spreadsheet.Scheme, "", Coordinate{0, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scraps = append(scraps, s)
+	}
+	path := filepath.Join(t.TempDir(), "pad.wal")
+	ws, err := trim.OpenWAL(f.app.DMI().Store().Trim(), path, trim.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	b := &walCounter{WALStore: ws}
+	if err := f.app.SaveWith(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.app.DMI().MoveScrap(scraps[1].ID(), Coordinate{40, 12}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.app.SaveWith(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.commits[len(b.commits)-1]; got != 2 {
+		t.Fatalf("save after one move committed %d op(s), want the move's 2", got)
+	}
+	live := f.app.DMI().Store().Trim().Snapshot()
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The log holds the whole pad: a fresh session recovers it, marks too.
+	mm2 := mark.NewManager()
+	mm2.RegisterApplication(f.sheets)
+	app2, err := NewApp(mm2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws2, err := trim.OpenWAL(app2.DMI().Store().Trim(), path, trim.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws2.Close()
+	if _, err := app2.LoadWith(ws2); err != nil {
+		t.Fatal(err)
+	}
+	if !app2.DMI().Store().Trim().Snapshot().Equal(live) {
+		t.Fatal("recovered pad differs from the saved one")
+	}
+	if !reflect.DeepEqual(mm2.Marks(), f.app.Marks().Marks()) {
+		t.Fatalf("recovered marks %v, want %v", mm2.Marks(), f.app.Marks().Marks())
 	}
 }
 

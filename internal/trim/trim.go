@@ -185,6 +185,16 @@ func (m *Manager) Generation() uint64 {
 	return m.generation
 }
 
+// advanceGeneration raises the mutation counter to at least gen, so later
+// mutations are stamped above it.
+func (m *Manager) advanceGeneration(gen uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.generation < gen {
+		m.generation = gen
+	}
+}
+
 // Select returns all triples matching the pattern in deterministic order.
 // The query planner uses the most selective available index: an exact
 // subject, object, or predicate binding narrows the scan to that index

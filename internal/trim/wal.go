@@ -1,6 +1,7 @@
 package trim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -76,6 +77,10 @@ type WALStore struct {
 	sinceCompact int64    // records appended since the last compaction; guarded by mu
 	compactEvery int64
 	closed       bool // guarded by mu
+	// recoveredGen is the Manager's generation when recovery finished. While
+	// the generation still reads it and nothing is pending, the Manager
+	// holds exactly the durable state.
+	recoveredGen uint64 // guarded by mu
 }
 
 // OpenWAL opens (creating if needed) the WAL backend rooted at path and
@@ -149,6 +154,12 @@ func OpenWAL(m *Manager, path string, opts WALOptions) (*WALStore, error) {
 				m.Remove(op.t)
 			}
 		}
+		// The ops carry the generations of the sessions that logged them,
+		// while a reopened Manager counts from its own. Continue above the
+		// highest, so the ops this session logs replay after them.
+		if len(ops) > 0 {
+			m.advanceGeneration(ops[len(ops)-1].gen)
+		}
 	}
 	// Otherwise no durable state exists yet (fresh path): the Manager's
 	// current contents are adopted as the initial state, so attaching a WAL
@@ -165,6 +176,7 @@ func OpenWAL(m *Manager, path string, opts WALOptions) (*WALStore, error) {
 		log:          l,
 		compactEvery: compactEvery,
 		sinceCompact: int64(rec.Records),
+		recoveredGen: m.Generation(),
 	}
 	id := m.ObserveSeq(ws.capture)
 	ws.mu.Lock()
@@ -336,13 +348,19 @@ func (ws *WALStore) Save() error {
 // Load implements the Backend interface: it re-runs full recovery
 // (snapshot + replay) from disk, replacing the Manager contents. The
 // WALStore keeps capturing afterwards. Uncommitted captured ops are
-// discarded — Load means "return to the durable state".
+// discarded — Load means "return to the durable state". When the Manager
+// has not changed since the last recovery and nothing is pending, it
+// already holds the durable state and Load returns at once, so opening a
+// WAL and then loading it replays the log only once.
 func (ws *WALStore) Load() error {
 	mLoadFileTotal.Inc()
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if ws.closed {
 		return fmt.Errorf("trim: wal load %s: %w", ws.path, wal.ErrClosed)
+	}
+	if len(ws.pending) == 0 && ws.m.Generation() == ws.recoveredGen {
+		return nil
 	}
 	// Detach capture and close the log around the reload so replayed ops
 	// are not re-captured and the file is re-scanned from scratch.
@@ -361,6 +379,7 @@ func (ws *WALStore) Load() error {
 	reopened.m.Unobserve(reopened.obsID)
 	ws.log = reopened.log
 	ws.sinceCompact = reopened.sinceCompact
+	ws.recoveredGen = reopened.recoveredGen
 	ws.obsID = ws.m.ObserveSeq(ws.capture)
 	return nil
 }
@@ -483,14 +502,18 @@ func encodeWALOps(ops []walOp) []byte {
 // decodeWALOps parses one record payload back into ops. The payload has
 // already passed CRC verification, so a malformed line is a logic or
 // version error, not bit rot — it aborts recovery rather than being
-// silently skipped.
+// silently skipped. Each line is copied before it is parsed: the parsed
+// terms are substrings of their line, and a replayed triple must pin only
+// its own line, not the whole record.
 func decodeWALOps(payload []byte) ([]walOp, error) {
-	lines := strings.Split(string(payload), "\n")
-	ops := make([]walOp, 0, len(lines))
-	for _, line := range lines {
-		if line == "" {
+	ops := make([]walOp, 0, bytes.Count(payload, []byte{'\n'})+1)
+	for len(payload) > 0 {
+		var raw []byte
+		raw, payload, _ = bytes.Cut(payload, []byte{'\n'})
+		if len(raw) == 0 {
 			continue
 		}
+		line := string(raw)
 		kind, rest, ok := strings.Cut(line, " ")
 		if !ok || (kind != "C" && kind != "R") {
 			return nil, fmt.Errorf("%w: malformed wal op line %q", ErrCorrupt, line)

@@ -1,11 +1,13 @@
 package trim
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -188,6 +190,116 @@ func TestWALLoadDropsUncommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRecovered(t, "after load", path, m.Snapshot())
+}
+
+// TestWALOpenThenLoadReplaysOnce: OpenWAL recovers the store, so a Load
+// right after it has nothing to redo and must not replay the log again. A
+// Load after a mutation still returns to the durable state.
+func TestWALOpenThenLoadReplaysOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.wal")
+	m, ws := openWALT(t, path, WALOptions{})
+	populate(m, 5)
+	if err := ws.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	durableState := m.Snapshot()
+
+	before := mWALReplayTotal.Value()
+	m2, ws2 := openWALT(t, path, WALOptions{})
+	if err := ws2.Load(); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if got := mWALReplayTotal.Value() - before; got != 1 {
+		t.Fatalf("OpenWAL then Load replayed the log %d time(s), want 1", got)
+	}
+	if !m2.Snapshot().Equal(durableState) {
+		t.Fatal("store after OpenWAL and Load differs from the durable state")
+	}
+
+	m2.Create(rdf.T(rdf.IRI("http://t/uncommitted"), rdf.IRI("http://t/p"), rdf.String("v")))
+	if err := ws2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	m2.Create(rdf.T(rdf.IRI("http://t/dropped"), rdf.IRI("http://t/p"), rdf.String("v")))
+	before = mWALReplayTotal.Value()
+	if err := ws2.Load(); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if got := mWALReplayTotal.Value() - before; got != 1 {
+		t.Fatalf("Load after a mutation replayed the log %d time(s), want 1", got)
+	}
+	if m2.Has(rdf.T(rdf.IRI("http://t/dropped"), rdf.IRI("http://t/p"), rdf.String("v"))) ||
+		!m2.Has(rdf.T(rdf.IRI("http://t/uncommitted"), rdf.IRI("http://t/p"), rdf.String("v"))) {
+		t.Fatal("Load after a mutation did not return to the durable state")
+	}
+}
+
+// TestWALReopenedSessionReplaysLast: a session opened on an existing log
+// must stamp its ops above every logged generation, however few mutations
+// its own recovery made, so the next recovery replays its ops after the
+// older ones.
+func TestWALReopenedSessionReplaysLast(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.wal")
+	s, p := rdf.IRI("http://t/s"), rdf.IRI("http://t/pos")
+	m, ws := openWALT(t, path, WALOptions{})
+	populate(m, 200)
+	if err := ws.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range []string{"A", "B"} {
+		if err := m.SetUnique(s, p, rdf.String(pos)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, ws2 := openWALT(t, path, WALOptions{})
+	if err := m2.SetUnique(s, p, rdf.String("C")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireRecovered(t, "after a second session", path, m2.Snapshot())
+}
+
+// TestDecodeWALOpsCopiesLines: each replayed term must pin only its own
+// line, not the whole record. Were the terms substrings of one string, the
+// second line's subject would lie exactly one line stride after the
+// first's; separate copies cannot, because allocations are 8-byte aligned
+// and the stride is not.
+func TestDecodeWALOpsCopiesLines(t *testing.T) {
+	ops := []walOp{
+		{gen: 1, add: true, t: rdf.T(rdf.IRI("http://t/s1"), rdf.IRI("http://t/p"), rdf.String("one"))},
+		{gen: 2, add: true, t: rdf.T(rdf.IRI("http://t/s2"), rdf.IRI("http://t/p"), rdf.String("two"))},
+	}
+	payload := encodeWALOps(ops)
+	first, _, _ := bytes.Cut(payload, []byte{'\n'})
+	stride := uintptr(len(first) + 1)
+	if stride%8 == 0 {
+		t.Fatalf("line stride %d is 8-aligned; the check needs terms that make it not", stride)
+	}
+	got, err := decodeWALOps(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].t != ops[0].t || got[1].t != ops[1].t {
+		t.Fatalf("decoded %v, want %v", got, ops)
+	}
+	data := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	for _, pos := range []func(rdf.Triple) rdf.Term{
+		func(t rdf.Triple) rdf.Term { return t.Subject },
+		func(t rdf.Triple) rdf.Term { return t.Predicate },
+	} {
+		if data(pos(got[1].t).Value())-data(pos(got[0].t).Value()) == stride {
+			t.Fatalf("terms %v and %v of different lines share one backing array", pos(got[0].t), pos(got[1].t))
+		}
+	}
 }
 
 // TestWALConcurrentMutators races mutations from several goroutines: the

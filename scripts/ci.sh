@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI lane: lint (vet + slimvet), build, the full test suite under the
 # race detector, then the env-gated fault-injection sweep — persistence
-# faults plus the WAL torture lane (docs/ROBUSTNESS.md). Mirrors
-# `make ci` for environments without make.
+# faults plus the WAL torture lane (docs/ROBUSTNESS.md) — the trace smoke
+# and the benchmark module's tests. Mirrors `make ci` for environments
+# without make.
 set -eux
 
 go vet ./...
@@ -15,6 +16,9 @@ go build ./...
 go test -race ./...
 SLIM_FAULT_SWEEP=1 go test -run FaultSweep ./internal/trim/ ./internal/mark/
 go test -run TraceSmoke ./cmd/trimq/ ./cmd/slimpad/
+# The benchmark module's tests: cmd/slimbench is a nested module the root
+# `go test ./...` skips. Same module settings as cmd/slimbench/run.sh.
+GOFLAGS=-mod=mod GOPROXY=off go -C cmd/slimbench test ./...
 
 # Gating slimload smoke: a short concurrent sweep must complete without
 # error (exit code only — throughput numbers from CI machines are noise).
