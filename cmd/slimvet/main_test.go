@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// The metamodel package carries known, baselined errwrap debt — a stable
-// non-empty target for exercising the driver without analyzing the whole
-// module in every subtest. (htmldoc, pdfdoc, and the base/* editors, the
-// previous targets, were paid down.)
-const debtPkg = "./internal/metamodel"
+// The module itself carries no findings, so the driver is exercised on the
+// errwrap analyzer's fixture package: seeded %v/%s wraps, a stable
+// non-empty target that keeps each subtest from analyzing the whole
+// module. (htmldoc, pdfdoc, the base/* editors and metamodel, the previous
+// targets, were paid down.)
+const debtPkg = "./internal/analysis/testdata/src/fixture/internal/errwrap"
 
 func runDriver(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -54,7 +55,7 @@ func TestSeededViolationsFailTextMode(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
 	}
-	lineRe := regexp.MustCompile(`internal/metamodel/[a-z]+\.go:\d+:\d+: .+ \(errwrap\)`)
+	lineRe := regexp.MustCompile(`internal/analysis/testdata/src/fixture/internal/errwrap/[a-z]+\.go:\d+:\d+: .+ \(errwrap\)`)
 	if !lineRe.MatchString(stdout) {
 		t.Errorf("text output missing file:line:col ... (analyzer) findings:\n%s", stdout)
 	}
@@ -89,7 +90,7 @@ func TestJSONReportShape(t *testing.T) {
 		t.Errorf("analyzers = %v, want all ten", r.Analyzers)
 	}
 	if len(r.Diagnostics) == 0 || len(r.New) == 0 {
-		t.Errorf("diagnostics/new empty; metamodel debt should appear in both")
+		t.Errorf("diagnostics/new empty; the fixture's seeded findings should appear in both")
 	}
 	if r.Files == 0 {
 		t.Errorf("files = 0; the report must count analyzed files")
@@ -141,9 +142,8 @@ func TestVerboseSummary(t *testing.T) {
 }
 
 // TestBaselineCoversDebt runs the full module against the committed
-// baseline: everything is covered, so the driver reports clean and exits 0.
-// (The baseline is a whole-module contract — analyzing a subset would
-// surface the other files' entries as stale.)
+// baseline, which is empty now that the module has no findings: the
+// driver reports clean with zero baselined findings and exits 0.
 func TestBaselineCoversDebt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -176,6 +176,6 @@ func TestEnableRestrictsAnalyzers(t *testing.T) {
 		t.Errorf("analyzers = %v, want [ctxflow]", r.Analyzers)
 	}
 	if len(r.Diagnostics) != 0 {
-		t.Errorf("ctxflow-only run should be clean on metamodel, got %d findings", len(r.Diagnostics))
+		t.Errorf("ctxflow-only run should be clean on the errwrap fixture, got %d findings", len(r.Diagnostics))
 	}
 }

@@ -48,7 +48,7 @@ func NewBaseline(diags []Diagnostic) *Baseline {
 		}
 		counts[k] = &BaselineEntry{Analyzer: d.Analyzer, File: d.File, Message: d.Message, Count: 1}
 	}
-	b := &Baseline{Version: 1}
+	b := &Baseline{Version: 1, Entries: make([]BaselineEntry, 0, len(counts))}
 	for _, e := range counts {
 		b.Entries = append(b.Entries, *e)
 	}

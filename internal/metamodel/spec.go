@@ -64,7 +64,7 @@ func ParseModelSpec(src string) (*Model, error) {
 		}
 		fields, label, err := splitSpecLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("metamodel: spec line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("metamodel: spec line %d: %w", lineNo, err)
 		}
 		kw := fields[0]
 		if m == nil && kw != "model" {
@@ -106,7 +106,7 @@ func ParseModelSpec(src string) (*Model, error) {
 				c.Kind = KindMarkConstruct
 			}
 			if err := m.AddConstruct(c); err != nil {
-				return nil, fmt.Errorf("metamodel: spec line %d: %v", lineNo, err)
+				return nil, fmt.Errorf("metamodel: spec line %d: %w", lineNo, err)
 			}
 		case "connector", "conformance", "generalization":
 			// <kw> name From -> To [min..max]
@@ -137,12 +137,12 @@ func ParseModelSpec(src string) (*Model, error) {
 				}
 				min, max, err := parseCard(fields[5])
 				if err != nil {
-					return nil, fmt.Errorf("metamodel: spec line %d: %v", lineNo, err)
+					return nil, fmt.Errorf("metamodel: spec line %d: %w", lineNo, err)
 				}
 				conn.MinCard, conn.MaxCard = min, max
 			}
 			if err := m.AddConnector(conn); err != nil {
-				return nil, fmt.Errorf("metamodel: spec line %d: %v", lineNo, err)
+				return nil, fmt.Errorf("metamodel: spec line %d: %w", lineNo, err)
 			}
 		default:
 			return nil, fmt.Errorf("metamodel: spec line %d: unknown keyword %q", lineNo, kw)

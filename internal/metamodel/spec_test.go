@@ -1,6 +1,7 @@
 package metamodel
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,8 +85,8 @@ func TestParseModelSpecErrors(t *testing.T) {
 		"model http://m\nbogus X",
 		"model http://m\nnamespace",
 		"model http://m\nliteral T nosuchtype",
-		"model http://m\nconstruct A\nconnector c A - A",     // bad arrow
-		"model http://m\nconstruct A\nconnector c A -> B",    // unknown endpoint
+		"model http://m\nconstruct A\nconnector c A - A",  // bad arrow
+		"model http://m\nconstruct A\nconnector c A -> B", // unknown endpoint
 		"model http://m\nconstruct A\nconnector c A -> A [x..y]",
 		"model http://m\nconstruct A\nconnector c A -> A [2..1]",
 		"model http://m\nconstruct A\nconformance c A -> A [1..1]", // card on conformance
@@ -96,6 +97,25 @@ func TestParseModelSpecErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ParseModelSpec(src); err == nil {
 			t.Errorf("ParseModelSpec(%q) succeeded", src)
+		}
+	}
+}
+
+// TestParseModelSpecWrapsCause pins that a spec error keeps the model
+// error it reports as its cause, so callers can classify it with
+// errors.Is instead of matching the message.
+func TestParseModelSpecWrapsCause(t *testing.T) {
+	cases := []struct {
+		src  string
+		want error
+	}{
+		{"model http://m\nconstruct A\nconstruct A", ErrDuplicateConstruct},
+		{"model http://m\nconstruct A\nconnector c A -> B", ErrUnknownConstruct},
+	}
+	for _, c := range cases {
+		_, err := ParseModelSpec(c.src)
+		if !errors.Is(err, c.want) {
+			t.Errorf("ParseModelSpec(%q) = %v, want an error wrapping %v", c.src, err, c.want)
 		}
 	}
 }

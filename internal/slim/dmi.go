@@ -331,18 +331,14 @@ func (d *DMI) InstancesOf(constructID string) ([]*Object, error) {
 func (d *DMI) InstancesOfCtx(ctx context.Context, constructID string) (out []*Object, err error) {
 	ctx, op := startOpCtx(ctx, dmiInstancesOf, constructID)
 	defer func() { op.done(0, err) }()
-	if _, ok := d.model.Construct(constructID); !ok {
-		return nil, fmt.Errorf("slim: %s is not a construct of model %s", constructID, d.model.ID)
+	types, err := d.InstanceTypes(constructID)
+	if err != nil {
+		return nil, err
 	}
 	ids := map[rdf.Term]bool{}
-	for _, s := range d.store.trim.Subjects(rdf.RDFType, rdf.IRI(constructID)) {
-		ids[s] = true
-	}
-	for _, sub := range d.model.Constructs() {
-		if sub.ID != constructID && d.model.IsA(sub.ID, constructID) {
-			for _, s := range d.store.trim.Subjects(rdf.RDFType, rdf.IRI(sub.ID)) {
-				ids[s] = true
-			}
+	for _, typ := range types {
+		for _, s := range d.store.trim.Subjects(rdf.RDFType, typ) {
+			ids[s] = true
 		}
 	}
 	sorted := make([]rdf.Term, 0, len(ids))
@@ -359,6 +355,23 @@ func (d *DMI) InstancesOfCtx(ctx context.Context, constructID string) (out []*Ob
 		out = append(out, obj)
 	}
 	return out, nil
+}
+
+// InstanceTypes returns the rdf:type objects that make a subject an
+// instance of the construct: the construct itself first, then its
+// specializations. InstancesOf lists exactly the subjects typed as one of
+// them.
+func (d *DMI) InstanceTypes(constructID string) ([]rdf.Term, error) {
+	if _, ok := d.model.Construct(constructID); !ok {
+		return nil, fmt.Errorf("slim: %s is not a construct of model %s", constructID, d.model.ID)
+	}
+	types := []rdf.Term{rdf.IRI(constructID)}
+	for _, sub := range d.model.Constructs() {
+		if sub.ID != constructID && d.model.IsA(sub.ID, constructID) {
+			types = append(types, rdf.IRI(sub.ID))
+		}
+	}
+	return types, nil
 }
 
 // View returns the reachability view rooted at the instance (§4.4): all

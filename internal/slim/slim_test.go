@@ -239,6 +239,60 @@ func TestInstancesOf(t *testing.T) {
 	}
 }
 
+// TestInstanceTypesIncludeSpecializations pins what InstancesOf lists:
+// subjects typed as the construct or as any specialization of it, and no
+// subject typed only as an unrelated construct.
+func TestInstanceTypesIncludeSpecializations(t *testing.T) {
+	const ns = "http://example.org/spec#"
+	m := metamodel.NewModel(ns+"model", "spec")
+	for _, c := range []string{"Doc", "Note", "Memo", "Other"} {
+		if err := m.AddConstruct(metamodel.Construct{ID: ns + c, Kind: metamodel.KindConstruct, Label: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range [][2]string{{"Note", "Doc"}, {"Memo", "Note"}} {
+		if err := m.AddConnector(metamodel.Connector{ID: ns + g[0] + "Is" + g[1], Kind: metamodel.KindGeneralization,
+			Label: g[0] + "Is" + g[1], From: ns + g[0], To: ns + g[1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := GenerateDMI(NewStore(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, err := d.InstanceTypes(ns + "Doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, typ := range types {
+		got = append(got, strings.TrimPrefix(typ.Value(), ns))
+	}
+	if strings.Join(got, ",") != "Doc,Memo,Note" {
+		t.Errorf("InstanceTypes(Doc) = %v, want the construct first, then its specializations", got)
+	}
+	var want []rdf.Term
+	for _, c := range []string{"Memo", "Doc", "Other", "Note"} {
+		obj, err := d.Create(ns+c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != "Other" {
+			want = append(want, obj.ID)
+		}
+	}
+	objs, err := d.InstancesOf(ns + "Doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objs) != len(want) {
+		t.Fatalf("InstancesOf(Doc) = %v, want %d instances", objs, len(want))
+	}
+	if _, err := d.InstanceTypes("http://nope"); err == nil {
+		t.Error("InstanceTypes accepted an unknown construct")
+	}
+}
+
 func TestViewFollowsContainment(t *testing.T) {
 	d := newBundleScrapDMI(t)
 	root, _ := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: "root"})

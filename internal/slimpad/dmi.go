@@ -230,8 +230,14 @@ func (d *DMI) ScrapCtx(ctx context.Context, id rdf.Term) (Scrap, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.scrapOf(obj)
+}
+
+// scrapOf builds the scrap view of an instance already read, resolving
+// each mark handle's mark id.
+func (d *DMI) scrapOf(obj *slim.Object) (Scrap, error) {
 	if obj.Construct != metamodel.ConstructScrap {
-		return nil, fmt.Errorf("slimpad: %s is a %s, not a Scrap", id.Value(), obj.Construct)
+		return nil, fmt.Errorf("slimpad: %s is a %s, not a Scrap", obj.ID.Value(), obj.Construct)
 	}
 	var handles []MarkHandle
 	for _, h := range obj.All(metamodel.ConnScrapMark) {

@@ -82,10 +82,11 @@ func (e Explain) journal(start time.Time) {
 	}
 }
 
-// selectExplainLocked is the single implementation behind Select and
-// SelectExplain: it runs the planner, scans, and fills every Explain
-// field except Query and WallNS (the caller owns those).
-func (m *Manager) selectExplainLocked(p rdf.Pattern) ([]rdf.Triple, Explain) {
+// selectExplainLocked is the single implementation behind Select,
+// SelectFiltered and SelectExplain: it runs the planner, scans, keeps the
+// matches keep accepts (all of them when keep is nil), and fills every
+// Explain field except Query and WallNS (the caller owns those).
+func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool) ([]rdf.Triple, Explain) {
 	bucket, choice := m.chooseIndexLocked(p)
 	choice.count()
 	e := Explain{
@@ -96,17 +97,21 @@ func (m *Manager) selectExplainLocked(p rdf.Pattern) ([]rdf.Triple, Explain) {
 		Generation: m.generation,
 	}
 	e.EstRows, e.EstSelectivity = m.estimateLocked(p)
+	var out []rdf.Triple
 	if choice == indexNone {
 		e.Candidates = m.graph.Len()
-		out := m.graph.Select(p)
-		e.Matched = len(out)
-		return out, e
-	}
-	e.Candidates = len(bucket)
-	var out []rdf.Triple
-	for t := range bucket {
-		if p.Matches(t) {
-			out = append(out, t)
+		m.graph.Each(func(t rdf.Triple) bool {
+			if keep == nil || keep(t) {
+				out = append(out, t)
+			}
+			return true
+		})
+	} else {
+		e.Candidates = len(bucket)
+		for t := range bucket {
+			if p.Matches(t) && (keep == nil || keep(t)) {
+				out = append(out, t)
+			}
 		}
 	}
 	rdf.SortTriples(out)
@@ -119,7 +124,7 @@ func (m *Manager) selectExplainLocked(p rdf.Pattern) ([]rdf.Triple, Explain) {
 func (m *Manager) SelectExplain(p rdf.Pattern) ([]rdf.Triple, Explain) {
 	start := time.Now()
 	m.mu.RLock()
-	out, e := m.selectExplainLocked(p)
+	out, e := m.selectExplainLocked(p, nil)
 	m.mu.RUnlock()
 	e.Query = p.String()
 	e.WallNS = int64(time.Since(start))

@@ -200,9 +200,19 @@ func (m *Manager) advanceGeneration(gen uint64) {
 // subject, object, or predicate binding narrows the scan to that index
 // bucket; a fully wild pattern scans the whole store.
 func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
+	return m.SelectFiltered(p, nil)
+}
+
+// SelectFiltered is Select restricted to the matching triples keep
+// accepts; a nil keep accepts every triple. keep sees each index candidate
+// that matches the pattern before the result is sorted, so a selective
+// filter saves the sort and the copy of everything it rejects. It counts,
+// explains and journals as one select. keep runs under the store's read
+// lock and must not call back into the Manager.
+func (m *Manager) SelectFiltered(p rdf.Pattern, keep func(rdf.Triple) bool) []rdf.Triple {
 	start := time.Now()
 	m.mu.RLock()
-	out, e := m.selectExplainLocked(p)
+	out, e := m.selectExplainLocked(p, keep)
 	m.mu.RUnlock()
 	d := time.Since(start)
 	mSelectNS.Observe(int64(d))
@@ -218,7 +228,7 @@ func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 
 // selectLocked runs a selection under a held lock, discarding the explain.
 func (m *Manager) selectLocked(p rdf.Pattern) []rdf.Triple {
-	out, _ := m.selectExplainLocked(p)
+	out, _ := m.selectExplainLocked(p, nil)
 	return out
 }
 

@@ -310,3 +310,71 @@ func TestSelectAgreesWithScanProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSelectFilteredMatchesSelect checks, for every bound mask, that a nil
+// filter answers exactly as Select and that a filter answers as Select
+// filtered afterwards, in the same order. Each call counts once in
+// trim.select.total, as Select does.
+func TestSelectFilteredMatchesSelect(t *testing.T) {
+	m := NewManager()
+	populate(m, 100)
+	s, p, o := rdf.IRI("http://t/s7"), rdf.IRI("http://t/p2"), rdf.String("v7")
+	keep := func(x rdf.Triple) bool { return len(x.Object.Value())%2 == 0 }
+	for mask := 0; mask < 8; mask++ {
+		var pat rdf.Pattern
+		if mask&1 != 0 {
+			pat.Subject = s
+		}
+		if mask&2 != 0 {
+			pat.Predicate = p
+		}
+		if mask&4 != 0 {
+			pat.Object = o
+		}
+		want := m.Select(pat)
+		sel0 := mSelectTotal.Value()
+		if got := m.SelectFiltered(pat, nil); !sameTriples(got, want) {
+			t.Errorf("SelectFiltered(%v, nil) = %v, want %v", pat, got, want)
+		}
+		var wantKept []rdf.Triple
+		for _, x := range want {
+			if keep(x) {
+				wantKept = append(wantKept, x)
+			}
+		}
+		if got := m.SelectFiltered(pat, keep); !sameTriples(got, wantKept) {
+			t.Errorf("SelectFiltered(%v, keep) = %v, want %v", pat, got, wantKept)
+		}
+		if got := mSelectTotal.Value() - sel0; got != 2 {
+			t.Errorf("mask %03b: trim.select.total delta = %d over two SelectFiltered calls, want 2", mask, got)
+		}
+	}
+}
+
+// TestSelectFilteredExplainCountsKept pins that a filtered select is one
+// query to EXPLAIN: the candidates are the index bucket and Matched counts
+// only the triples the filter kept.
+func TestSelectFilteredExplainCountsKept(t *testing.T) {
+	m := NewManager()
+	populate(m, 100)
+	pat := rdf.P(rdf.Zero, rdf.IRI("http://t/p2"), rdf.Zero)
+	keep := func(x rdf.Triple) bool { return x.Object == rdf.String("v7") }
+	m.mu.RLock()
+	out, e := m.selectExplainLocked(pat, keep)
+	m.mu.RUnlock()
+	if len(out) != 1 || e.Matched != 1 || e.Candidates != 20 || e.Index != "predicate" {
+		t.Errorf("filtered explain = %d triples, %+v; want 1 matched of 20 predicate candidates", len(out), e)
+	}
+}
+
+func sameTriples(a, b []rdf.Triple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

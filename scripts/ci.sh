@@ -7,11 +7,10 @@
 set -eux
 
 go vet ./...
-go run ./cmd/slimvet ./...
-# Gating zero-baseline concurrency lane: the packages the MVCC refactor
-# (ROADMAP item 2) will rewrite must pass the four concurrency-safety
-# analyzers with no baseline at all — new debt there fails CI immediately.
-go run ./cmd/slimvet -baseline "" -enable aliasguard,lockorder,atomichygiene,gorolife ./internal/trim ./internal/wal ./internal/durable
+# Gating zero-baseline lane: every analyzer, the four concurrency-safety
+# ones included, on every package, with no baseline at all — any finding
+# anywhere fails CI.
+go run ./cmd/slimvet -baseline "" ./...
 go build ./...
 go test -race ./...
 SLIM_FAULT_SWEEP=1 go test -run FaultSweep ./internal/trim/ ./internal/mark/
