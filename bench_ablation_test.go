@@ -84,65 +84,3 @@ func BenchmarkAblation_BatchVsSingle(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblation_CompactStore: the interned-term compact store versus
-// the reference Manager — bulk load, point query, and full-content memory
-// behavior (-benchmem shows the allocation difference).
-func BenchmarkAblation_CompactStore(b *testing.B) {
-	const size = 20000
-	var triples []rdf.Triple
-	for i := 0; i < size; i++ {
-		triples = append(triples, syntheticTriple(i))
-	}
-	b.Run("manager-load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := trim.NewManager()
-			for _, t := range triples {
-				if _, err := m.Create(t); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("compact-load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := trim.NewCompactStore()
-			for _, t := range triples {
-				if _, err := c.Create(t); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-
-	m := trim.NewManager()
-	c := trim.NewCompactStore()
-	for _, t := range triples {
-		m.Create(t)
-		c.Create(t)
-	}
-	// Subject in the half that survives the compaction sub-bench below.
-	pat := rdf.P(rdf.IRI("http://t/s15555"), rdf.Zero, rdf.Zero)
-	b.Run("manager-select", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += len(m.Select(pat))
-		}
-	})
-	b.Run("compact-select", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += len(c.Select(pat))
-		}
-	})
-	b.Run("compact-after-compaction", func(b *testing.B) {
-		for i := 0; i < size/2; i++ {
-			c.Remove(triples[i])
-		}
-		c.Compact()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sink += len(c.Select(pat))
-		}
-	})
-}

@@ -8,7 +8,7 @@
 //	trimq -store pad.xml stats
 //	trimq -store pad.xml -json stats
 //	trimq -store pad.xml space
-//	trimq -store pad.xml -json -probe space
+//	trimq -store pad.xml -json space
 //	trimq -store pad.xml -min-dup 1.2 space
 //	trimq -store pad.xml select '?' rdf:type pad:Bundle
 //	trimq -store pad.xml explain select '?' rdf:type pad:Bundle
@@ -34,11 +34,10 @@
 // backend. walcheck inspects a WAL read-only — tail integrity, record
 // count, snapshot usability — and exits non-zero on a torn tail, so
 // scripts can gate on it. space runs the deep space accountant (total vs
-// unique string bytes, per-index overhead, duplication ratio, projected
-// interning win); -probe adds benchmark-style allocs/op and B/op probes
-// over the heavy-hitter query shapes, and -min-dup exits non-zero when
-// the duplication ratio falls below the floor, so scripts can gate on
-// that too.
+// unique string bytes, duplication ratio, and the bytes the store's
+// dictionary, id triples, posting lists and cardinality table hold);
+// -min-dup exits non-zero when the duplication ratio falls below the
+// floor, so scripts can gate on that too.
 //
 // Query terms are '?' (wildcard), a prefix:local qualified name, a full IRI,
 // or a "quoted string" literal. explain runs the query and reports the
@@ -90,8 +89,6 @@ func run(args []string, out io.Writer) error {
 	perfetto := fs.String("perfetto", "", "with trace: also save the trace as Chrome trace-event JSON to `file`")
 	workload := fs.String("workload", "", "with top: replay this query `file` (one select/view/path per line) before ranking")
 	topK := fs.Int("k", 20, "with top: list at most this many query shapes")
-	probe := fs.Bool("probe", false, "with space: measure allocs/op and B/op for the heavy-hitter query shapes")
-	probeIters := fs.Int("probe-iters", 100, "with space -probe: iterations per query shape")
 	minDup := fs.Float64("min-dup", 0, "with space: exit non-zero when the duplication ratio is below `ratio` (0 disables)")
 	var cli obs.CLI
 	cli.Bind(fs)
@@ -108,14 +105,14 @@ func run(args []string, out io.Writer) error {
 	if err := cli.Start(); err != nil {
 		return err
 	}
-	err := execute(*store, *backend, *nt, *jsonOut, *perfetto, *workload, *outFile, *topK, *probe, *probeIters, *minDup, rest, out)
+	err := execute(*store, *backend, *nt, *jsonOut, *perfetto, *workload, *outFile, *topK, *minDup, rest, out)
 	if ferr := cli.Finish(out); err == nil {
 		err = ferr
 	}
 	return err
 }
 
-func execute(store, backendKind string, nt bool, jsonOut bool, perfetto, workload, outFile string, topK int, probe bool, probeIters int, minDup float64, rest []string, out io.Writer) error {
+func execute(store, backendKind string, nt bool, jsonOut bool, perfetto, workload, outFile string, topK int, minDup float64, rest []string, out io.Writer) error {
 	// walcheck never loads the store: it inspects the WAL file read-only, so
 	// it is safe to run against a live or damaged store.
 	if rest[0] == "walcheck" {
@@ -224,7 +221,7 @@ func execute(store, backendKind string, nt bool, jsonOut bool, perfetto, workloa
 		fmt.Fprintln(out, m.Stats())
 		return nil
 	case "space":
-		return space(m, jsonOut, probe, probeIters, minDup, out)
+		return space(m, jsonOut, minDup, out)
 	case "explain":
 		return explain(m, pm, jsonOut, rest[1:], out)
 	case "trace":
@@ -302,20 +299,13 @@ func execute(store, backendKind string, nt bool, jsonOut bool, perfetto, workloa
 }
 
 // space runs the deep space accountant (docs/OBSERVABILITY.md "Space
-// accounting & alloc probes") and optionally the alloc-per-op probes.
-// With -min-dup it exits non-zero when the duplication ratio falls below
-// the floor, so scripts can gate on the accountant seeing real sharing.
-func space(m *trim.Manager, jsonOut, probe bool, probeIters int, minDup float64, out io.Writer) error {
+// accounting"). With -min-dup it exits non-zero when the duplication
+// ratio falls below the floor, so scripts can gate on the accountant
+// seeing real sharing.
+func space(m *trim.Manager, jsonOut bool, minDup float64, out io.Writer) error {
 	sp := m.Space()
-	var probes []trim.ProbeResult
-	if probe {
-		probes = m.ProbeAllocs(context.Background(), probeIters)
-	}
 	if jsonOut {
-		if err := obs.EncodeJSON(out, struct {
-			trim.SpaceStats
-			Probes []trim.ProbeResult `json:"probes,omitempty"`
-		}{sp, probes}); err != nil {
+		if err := obs.EncodeJSON(out, sp); err != nil {
 			return err
 		}
 	} else {
@@ -325,7 +315,7 @@ func space(m *trim.Manager, jsonOut, probe bool, probeIters int, minDup float64,
 			sp.Predicate.Unique, sp.Predicate.Refs, sp.Predicate.UniqueBytes, sp.Predicate.TotalBytes,
 			sp.Object.Unique, sp.Object.Refs, sp.Object.UniqueBytes, sp.Object.TotalBytes)
 		for _, ix := range sp.Indexes {
-			fmt.Fprintf(out, "index %s: %d bucket(s), %d entrie(s), ~%d overhead byte(s)\n",
+			fmt.Fprintf(out, "index %s: %d list(s), %d entrie(s), %d byte(s)\n",
 				ix.Name, ix.Buckets, ix.Entries, ix.OverheadBytes)
 		}
 		for i, ps := range sp.Predicates {
@@ -335,12 +325,6 @@ func space(m *trim.Manager, jsonOut, probe bool, probeIters int, minDup float64,
 			}
 			fmt.Fprintf(out, "predicate %-40s %6d triple(s) %10d byte(s) %5.1f%%\n",
 				ps.Predicate, ps.Triples, ps.TotalBytes, 100*ps.Share)
-		}
-		fmt.Fprintf(out, "interning projection: dict=%d triples=%d indexes=%d -> %d byte(s), saves %d (%.1fx smaller)\n",
-			sp.Interning.DictionaryBytes, sp.Interning.TripleBytes, sp.Interning.IndexBytes,
-			sp.Interning.ProjectedBytes, sp.Interning.SavedBytes, sp.Interning.Factor)
-		for _, p := range probes {
-			fmt.Fprintln(out, p)
 		}
 	}
 	if minDup > 0 && sp.DuplicationRatio < minDup {

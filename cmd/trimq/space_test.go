@@ -8,15 +8,15 @@ import (
 
 // TestSpaceCommand drives `trimq space` over the fixture store: the human
 // form leads with the headline line, the JSON form carries the acceptance
-// fields (total vs unique string bytes, per-index overhead, duplication
-// ratio, projected interning win).
+// fields (total vs unique string bytes, per-index bytes, duplication
+// ratio, and the layout components that sum to the estimate).
 func TestSpaceCommand(t *testing.T) {
 	path := storeFile(t)
 	var out strings.Builder
 	if err := run([]string{"-store", path, "space"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"bytes/triple=", "dup=", "interning projection:", "index spo:"} {
+	for _, want := range []string{"bytes/triple=", "dup=", "dictionary=", "index spo:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("space output missing %q:\n%s", want, out.String())
 		}
@@ -36,12 +36,11 @@ func TestSpaceCommand(t *testing.T) {
 			Name          string `json:"name"`
 			OverheadBytes int64  `json:"overhead_bytes"`
 		} `json:"indexes"`
-		Interning struct {
-			ProjectedBytes int64   `json:"projected_bytes"`
-			SavedBytes     int64   `json:"saved_bytes"`
-			Factor         float64 `json:"factor"`
-		} `json:"interning"`
-		Probes []json.RawMessage `json:"probes"`
+		DictionaryBytes    int64 `json:"dictionary_bytes"`
+		TripleBytes        int64 `json:"triple_bytes"`
+		IndexOverheadBytes int64 `json:"index_overhead_bytes"`
+		CardOverheadBytes  int64 `json:"card_overhead_bytes"`
+		EstimatedBytes     int64 `json:"estimated_bytes"`
 	}
 	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
 		t.Fatalf("space -json not JSON: %v\n%s", err, out.String())
@@ -52,39 +51,8 @@ func TestSpaceCommand(t *testing.T) {
 	if len(rep.Indexes) != 3 || rep.Indexes[0].OverheadBytes == 0 {
 		t.Fatalf("index overhead missing: %+v", rep.Indexes)
 	}
-	if rep.Interning.ProjectedBytes == 0 || rep.Interning.SavedBytes <= 0 || rep.Interning.Factor <= 1 {
-		t.Fatalf("interning projection = %+v", rep.Interning)
-	}
-	if len(rep.Probes) != 0 {
-		t.Fatalf("probes present without -probe: %d", len(rep.Probes))
-	}
-}
-
-// TestSpaceProbe: -probe appends the eight alloc-per-op measurements.
-func TestSpaceProbe(t *testing.T) {
-	path := storeFile(t)
-	var out strings.Builder
-	if err := run([]string{"-store", path, "-json", "-probe", "-probe-iters", "5", "space"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Probes []struct {
-			Op          string  `json:"op"`
-			Iters       int     `json:"iters"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-			NsPerOp     float64 `json:"ns_per_op"`
-		} `json:"probes"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("space -probe -json not JSON: %v\n%s", err, out.String())
-	}
-	if len(rep.Probes) != 8 {
-		t.Fatalf("got %d probes, want 8: %+v", len(rep.Probes), rep.Probes)
-	}
-	for _, p := range rep.Probes {
-		if p.Iters != 5 || p.NsPerOp <= 0 {
-			t.Errorf("probe %+v", p)
-		}
+	if got := rep.DictionaryBytes + rep.TripleBytes + rep.IndexOverheadBytes + rep.CardOverheadBytes; rep.DictionaryBytes == 0 || got != rep.EstimatedBytes {
+		t.Fatalf("layout components sum to %d, estimated_bytes = %d: %+v", got, rep.EstimatedBytes, rep)
 	}
 }
 

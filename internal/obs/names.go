@@ -187,23 +187,14 @@ const (
 
 // Store space accounting (internal/trim/space.go): the deep space
 // accountant's last-report gauges, republished so Prometheus can plot the
-// bytes-per-triple trajectory across the term-dictionary work (ROADMAP
-// item 1). Gauges are integers, so the duplication ratio is exported in
-// percent (×100).
+// bytes-per-triple trajectory. Gauges are integers, so the duplication
+// ratio is exported in percent (×100).
 const (
 	NameTrimSpaceTotal          = "trim.space.total"
 	NameTrimSpaceBytesPerTriple = "trim.space.bytes_per_triple"
 	NameTrimSpaceStringBytes    = "trim.space.string.bytes"
 	NameTrimSpaceUniqueBytes    = "trim.space.string.unique.bytes"
 	NameTrimSpaceDupPct         = "trim.space.duplication.pct"
-	NameTrimSpaceInterningSaved = "trim.space.interning.saved.bytes"
-)
-
-// Alloc-per-op probe harness (internal/trim/probe.go, `trimq space
-// -probe`).
-const (
-	NameTrimProbeTotal = "trim.probe.total"
-	NameTrimProbeNS    = "trim.probe.ns"
 )
 
 // Process space accounting (internal/obs/space.go over

@@ -91,9 +91,9 @@ func (b *Batch) Apply() error {
 	// Observer delivery happens after unlock; on rollback the staged
 	// events include the inverse operations, so observers still see a
 	// sequence that nets out to no change.
-	events, targets, seqTargets := m.drainLocked()
+	events, targets := m.drainLocked()
 	m.mu.Unlock()
-	m.deliver(targets, seqTargets, events)
+	m.deliver(targets, events)
 	return err
 }
 

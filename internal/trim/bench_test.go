@@ -99,27 +99,3 @@ func BenchmarkPath(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCompactCreate(b *testing.B) {
-	c := NewCompactStore()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Create(benchTriple(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCompactSelect(b *testing.B) {
-	c := NewCompactStore()
-	for i := 0; i < 10000; i++ {
-		c.Create(benchTriple(i))
-	}
-	pat := rdf.P(rdf.IRI("http://t/s5000"), rdf.Zero, rdf.Zero)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(c.Select(pat)) != 1 {
-			b.Fatal("wrong result")
-		}
-	}
-}

@@ -2,53 +2,46 @@ package trim
 
 import (
 	"sort"
-
-	"repro/internal/rdf"
 )
 
 // Per-predicate cardinality statistics, maintained incrementally by the
-// two mutation points (createLocked/removeLocked) so they are always
-// exact and cost O(1) per mutation. They answer the planner's question —
+// store's two mutation points (add/remove) so they are always exact and
+// cost O(1) per mutation. They answer the planner's question —
 // "how many rows will this pattern touch?" — per predicate instead of
-// store-wide, feed the EXPLAIN estimated-selectivity line, and are the
-// ground-truth input the term-dictionary/index rework (ROADMAP item 1)
-// needs to choose layouts.
+// store-wide, and feed the EXPLAIN estimated-selectivity line.
 
 // predCard tracks one predicate's live cardinality. The subject/object
-// maps refcount triples per term so removals decrement exactly.
+// maps refcount triples per term id so removals decrement exactly.
 type predCard struct {
 	triples  int
-	subjects map[rdf.Term]int
-	objects  map[rdf.Term]int
+	subjects map[int32]int32
+	objects  map[int32]int32
 }
 
-// cardAddLocked records a newly inserted triple.
-func (m *Manager) cardAddLocked(t rdf.Triple) {
-	pc, ok := m.predCards[t.Predicate]
+// cardAdd records a newly stored triple.
+func (s *store) cardAdd(k idTriple) {
+	pc, ok := s.predCards[k[posP]]
 	if !ok {
-		pc = &predCard{subjects: make(map[rdf.Term]int), objects: make(map[rdf.Term]int)}
-		m.predCards[t.Predicate] = pc
+		pc = &predCard{subjects: make(map[int32]int32), objects: make(map[int32]int32)}
+		s.predCards[k[posP]] = pc
 	}
 	pc.triples++
-	pc.subjects[t.Subject]++
-	pc.objects[t.Object]++
+	pc.subjects[k[posS]]++
+	pc.objects[k[posO]]++
 }
 
-// cardRemoveLocked records a removed triple.
-func (m *Manager) cardRemoveLocked(t rdf.Triple) {
-	pc, ok := m.predCards[t.Predicate]
-	if !ok {
-		return
-	}
+// cardRemove records a removed triple.
+func (s *store) cardRemove(k idTriple) {
+	pc := s.predCards[k[posP]]
 	pc.triples--
-	if pc.subjects[t.Subject]--; pc.subjects[t.Subject] == 0 {
-		delete(pc.subjects, t.Subject)
+	if pc.subjects[k[posS]]--; pc.subjects[k[posS]] == 0 {
+		delete(pc.subjects, k[posS])
 	}
-	if pc.objects[t.Object]--; pc.objects[t.Object] == 0 {
-		delete(pc.objects, t.Object)
+	if pc.objects[k[posO]]--; pc.objects[k[posO]] == 0 {
+		delete(pc.objects, k[posO])
 	}
 	if pc.triples == 0 {
-		delete(m.predCards, t.Predicate)
+		delete(s.predCards, k[posP])
 	}
 }
 
@@ -68,11 +61,11 @@ type PredicateStats struct {
 
 // predicateStatsLocked renders the cardinality table sorted by predicate.
 func (m *Manager) predicateStatsLocked() []PredicateStats {
-	size := m.graph.Len()
-	out := make([]PredicateStats, 0, len(m.predCards))
-	for pred, pc := range m.predCards {
+	size := len(m.st.rows)
+	out := make([]PredicateStats, 0, len(m.st.predCards))
+	for pred, pc := range m.st.predCards {
 		ps := PredicateStats{
-			Predicate:        pred.Value(),
+			Predicate:        m.st.term(pred).Value(),
 			Triples:          pc.triples,
 			DistinctSubjects: len(pc.subjects),
 			DistinctObjects:  len(pc.objects),
@@ -86,37 +79,40 @@ func (m *Manager) predicateStatsLocked() []PredicateStats {
 	return out
 }
 
-// estimateLocked is the planner's cardinality estimate for a pattern:
+// estimate is the planner's cardinality estimate for a resolved pattern:
 // expected result rows and their fraction of the store. A bound predicate
 // uses the exact per-predicate stats (triples, scaled down by the mean
 // triples-per-subject/object when those positions are bound too); an
-// unbound predicate falls back to the exact index bucket sizes the
+// unbound predicate falls back to the exact posting-list sizes the
 // planner already consults. The estimate is exact for single-position
 // patterns and a uniformity assumption beyond that.
-func (m *Manager) estimateLocked(p rdf.Pattern) (rows int, selectivity float64) {
-	size := m.graph.Len()
+func (s *store) estimate(q idPattern) (rows int, selectivity float64) {
+	size := len(s.rows)
 	if size == 0 {
 		return 0, 0
 	}
 	est := size
-	if !p.Predicate.IsZero() {
-		pc, ok := m.predCards[p.Predicate]
+	if q[posP] != anyID {
+		pc, ok := s.predCards[q[posP]]
 		if !ok {
 			return 0, 0
 		}
 		est = pc.triples
-		if !p.Subject.IsZero() && len(pc.subjects) > 0 {
+		if q[posS] != anyID && len(pc.subjects) > 0 {
 			est = meanShare(est, len(pc.subjects))
 		}
-		if !p.Object.IsZero() && len(pc.objects) > 0 {
+		if q[posO] != anyID && len(pc.objects) > 0 {
 			est = meanShare(est, len(pc.objects))
 		}
 	} else {
-		if !p.Subject.IsZero() {
-			est = min(est, len(m.bySubject[p.Subject]))
-		}
-		if !p.Object.IsZero() {
-			est = min(est, len(m.byObject[p.Object]))
+		for _, pos := range [2]int{posS, posO} {
+			switch q[pos] {
+			case anyID:
+			case noID:
+				est = 0
+			default:
+				est = min(est, len(s.dict[q[pos]].post[pos]))
+			}
 		}
 	}
 	return est, float64(est) / float64(size)

@@ -31,11 +31,11 @@ func cardTruth(t *testing.T, m *Manager) {
 
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if len(m.predCards) != len(want) {
-		t.Fatalf("predCards tracks %d predicates, want %d", len(m.predCards), len(want))
+	if len(m.st.predCards) != len(want) {
+		t.Fatalf("predCards tracks %d predicates, want %d", len(m.st.predCards), len(want))
 	}
 	for pred, tw := range want {
-		pc, ok := m.predCards[pred]
+		pc, ok := m.st.predCards[m.st.lookup(pred)]
 		if !ok {
 			t.Fatalf("predicate %v missing from predCards", pred)
 		}
@@ -67,7 +67,7 @@ func TestCardinalityCreateRemove(t *testing.T) {
 	cardTruth(t, m)
 
 	m.mu.RLock()
-	pc := m.predCards[rdf.IRI("http://t/p1")]
+	pc := m.st.predCards[m.st.lookup(rdf.IRI("http://t/p1"))]
 	if pc.triples != 3 || len(pc.subjects) != 2 || len(pc.objects) != 2 {
 		m.mu.RUnlock()
 		t.Fatalf("p1 card = triples=%d subjects=%d objects=%d, want 3/2/2", pc.triples, len(pc.subjects), len(pc.objects))
@@ -82,8 +82,8 @@ func TestCardinalityCreateRemove(t *testing.T) {
 	}
 	cardTruth(t, m)
 	m.mu.RLock()
-	if len(m.predCards) != 0 {
-		t.Fatalf("empty store still tracks %d predicates", len(m.predCards))
+	if len(m.st.predCards) != 0 {
+		t.Fatalf("empty store still tracks %d predicates", len(m.st.predCards))
 	}
 	m.mu.RUnlock()
 }

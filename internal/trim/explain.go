@@ -82,39 +82,47 @@ func (e Explain) journal(start time.Time) {
 	}
 }
 
+// explainLocked starts an execution report with the store-wide fields.
+func (m *Manager) explainLocked(op string, index indexChoice) Explain {
+	return Explain{
+		Op:         op,
+		Index:      index.String(),
+		Observers:  len(m.seqObservers),
+		StoreSize:  len(m.st.rows),
+		Generation: m.generation,
+	}
+}
+
 // selectExplainLocked is the single implementation behind Select,
 // SelectFiltered and SelectExplain: it runs the planner, scans, keeps the
 // matches keep accepts (all of them when keep is nil), and fills every
-// Explain field except Query and WallNS (the caller owns those).
+// Explain field except Query and WallNS (the caller owns those). Only the
+// matching rows become rdf.Triple values.
 func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool) ([]rdf.Triple, Explain) {
-	bucket, choice := m.chooseIndexLocked(p)
+	q, list, choice := m.st.plan(p)
 	choice.count()
-	e := Explain{
-		Op:         "select",
-		Index:      choice.String(),
-		Observers:  len(m.observers),
-		StoreSize:  m.graph.Len(),
-		Generation: m.generation,
-	}
-	e.EstRows, e.EstSelectivity = m.estimateLocked(p)
+	e := m.explainLocked("select", choice)
+	e.EstRows, e.EstSelectivity = m.st.estimate(q)
 	var out []rdf.Triple
+	emit := func(r int32) {
+		if t := m.st.triple(r); keep == nil || keep(t) {
+			out = append(out, t)
+		}
+	}
 	if choice == indexNone {
-		e.Candidates = m.graph.Len()
-		m.graph.Each(func(t rdf.Triple) bool {
-			if keep == nil || keep(t) {
-				out = append(out, t)
-			}
-			return true
-		})
+		e.Candidates = len(m.st.rows)
+		for r := range m.st.rows {
+			emit(int32(r))
+		}
 	} else {
-		e.Candidates = len(bucket)
-		for t := range bucket {
-			if p.Matches(t) && (keep == nil || keep(t)) {
-				out = append(out, t)
+		e.Candidates = len(list)
+		for _, r := range list {
+			if q.matches(m.st.rows[r].ids) {
+				emit(r)
 			}
 		}
 	}
-	rdf.SortTriples(out)
+	sortTriples(out)
 	e.Matched = len(out)
 	return out, e
 }
@@ -157,22 +165,8 @@ func (m *Manager) ViewExplain(root rdf.Term) (*rdf.Graph, Explain) {
 func (m *Manager) PathExplain(start []rdf.Term, predicates ...rdf.Term) ([]rdf.Term, Explain) {
 	began := time.Now()
 	m.mu.RLock()
-	out, e := m.pathExplainLocked(start, predicates)
+	out, e := m.pathLocked(start, predicates, false)
 	m.mu.RUnlock()
-	e.WallNS = int64(time.Since(began))
-	recordPathShape(predicates, false)
-	e.journal(began)
-	return out, e
-}
-
-func (m *Manager) pathExplainLocked(start []rdf.Term, predicates []rdf.Term) ([]rdf.Term, Explain) {
-	e := Explain{
-		Op:         "path",
-		Index:      indexSubject.String(),
-		Observers:  len(m.observers),
-		StoreSize:  m.graph.Len(),
-		Generation: m.generation,
-	}
 	var q string
 	for _, s := range start {
 		q += s.String() + " "
@@ -184,33 +178,8 @@ func (m *Manager) pathExplainLocked(start []rdf.Term, predicates []rdf.Term) ([]
 		q += p.String()
 	}
 	e.Query = q
-
-	frontier := make(map[rdf.Term]struct{}, len(start))
-	for _, s := range start {
-		if s.IsResource() {
-			frontier[s] = struct{}{}
-		}
-	}
-	for _, pred := range predicates {
-		next := make(map[rdf.Term]struct{})
-		for node := range frontier {
-			for t := range m.bySubject[node] {
-				e.Candidates++
-				if t.Predicate == pred {
-					next[t.Object] = struct{}{}
-				}
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	out := make([]rdf.Term, 0, len(frontier))
-	for t := range frontier {
-		out = append(out, t)
-	}
-	sortTerms(out)
-	e.Matched = len(out)
+	e.WallNS = int64(time.Since(began))
+	recordPathShape(predicates, false)
+	e.journal(began)
 	return out, e
 }

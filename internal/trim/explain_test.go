@@ -1,6 +1,7 @@
 package trim
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -170,5 +171,32 @@ func TestExplainJournalsSlowQueries(t *testing.T) {
 		if !strings.Contains(last.Detail, want) {
 			t.Errorf("journal detail missing %q: %s", want, last.Detail)
 		}
+	}
+}
+
+// TestExplainCountsWALObserver: a WAL-backed store's capture observer sees
+// every mutation, so every EXPLAIN reports it in its notification
+// fan-out.
+func TestExplainCountsWALObserver(t *testing.T) {
+	m := NewManager()
+	ws, err := OpenWAL(m, filepath.Join(t.TempDir(), "store.wal"), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	root := rdf.IRI("http://t/root")
+	for _, x := range []rdf.Triple{link("root", "has", "a"), tr("a", "label", "leaf")} {
+		if _, err := m.Create(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, e := m.SelectExplain(rdf.P(root, rdf.Zero, rdf.Zero)); e.Observers != 1 {
+		t.Errorf("SelectExplain Observers = %d, want 1", e.Observers)
+	}
+	if _, e := m.ViewExplain(root); e.Observers != 1 {
+		t.Errorf("ViewExplain Observers = %d, want 1", e.Observers)
+	}
+	if _, e := m.PathExplain([]rdf.Term{root}, rdf.IRI("http://t/has")); e.Observers != 1 {
+		t.Errorf("PathExplain Observers = %d, want 1", e.Observers)
 	}
 }

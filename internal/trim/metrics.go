@@ -27,14 +27,9 @@ var (
 	gSpaceStringBytes    = obs.G(obs.NameTrimSpaceStringBytes)
 	gSpaceUniqueBytes    = obs.G(obs.NameTrimSpaceUniqueBytes)
 	gSpaceDupPct         = obs.G(obs.NameTrimSpaceDupPct)
-	gSpaceInterningSaved = obs.G(obs.NameTrimSpaceInterningSaved)
-
-	// Alloc-per-op probe harness (probe.go).
-	mProbeTotal = obs.C(obs.NameTrimProbeTotal)
-	mProbeNS    = obs.H(obs.NameTrimProbeNS)
 
 	// Index-choice counters quantify the query planner: which position's
-	// hash index served a pattern, or whether a full scan was needed.
+	// posting lists served a pattern, or whether a full scan was needed.
 	mIdxSubject   = obs.C(obs.NameTrimIndexSubject)
 	mIdxPredicate = obs.C(obs.NameTrimIndexPredicate)
 	mIdxObject    = obs.C(obs.NameTrimIndexObject)
@@ -53,7 +48,7 @@ var (
 	mLoadNS      = obs.H(obs.NameTrimLoadNS)
 
 	// mNotifyFanout counts observer callbacks delivered (one per observer
-	// per mutation): the Observer notification fan-out.
+	// per mutation): the SeqObserver notification fan-out.
 	mNotifyFanout = obs.C(obs.NameTrimObserverFanout)
 
 	// Persistence outcomes (docs/ROBUSTNESS.md): saves attempted/failed,

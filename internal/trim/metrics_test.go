@@ -53,8 +53,8 @@ func TestMetricsObserverFanout(t *testing.T) {
 	fan0 := mNotifyFanout.Value()
 	m := NewManager()
 	seen := 0
-	m.Observe(func(rdf.Triple, bool) { seen++ })
-	m.Observe(func(rdf.Triple, bool) { seen++ })
+	m.ObserveSeq(func(uint64, rdf.Triple, bool) { seen++ })
+	m.ObserveSeq(func(uint64, rdf.Triple, bool) { seen++ })
 	if _, err := m.Create(rdf.T(rdf.IRI("http://x/s"), rdf.IRI("http://x/p"), rdf.String("v"))); err != nil {
 		t.Fatal(err)
 	}

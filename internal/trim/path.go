@@ -1,6 +1,8 @@
 package trim
 
 import (
+	"slices"
+
 	"repro/internal/rdf"
 )
 
@@ -17,32 +19,7 @@ func (m *Manager) Path(start []rdf.Term, predicates ...rdf.Term) []rdf.Term {
 	recordPathShape(predicates, false)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-
-	frontier := make(map[rdf.Term]struct{}, len(start))
-	for _, s := range start {
-		if s.IsResource() {
-			frontier[s] = struct{}{}
-		}
-	}
-	for _, pred := range predicates {
-		next := make(map[rdf.Term]struct{})
-		for node := range frontier {
-			for t := range m.bySubject[node] {
-				if t.Predicate == pred {
-					next[t.Object] = struct{}{}
-				}
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	out := make([]rdf.Term, 0, len(frontier))
-	for t := range frontier {
-		out = append(out, t)
-	}
-	sortTerms(out)
+	out, _ := m.pathLocked(start, predicates, false)
 	return out
 }
 
@@ -52,17 +29,48 @@ func (m *Manager) PathInverse(start []rdf.Term, predicates ...rdf.Term) []rdf.Te
 	recordPathShape(predicates, true)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	out, _ := m.pathLocked(start, predicates, true)
+	return out
+}
 
-	frontier := make(map[rdf.Term]struct{}, len(start))
+// pathLocked is the one walk behind Path, PathInverse and PathExplain. A
+// forward walk starts from the resources among start and steps subject to
+// object along the subject index; an inverse walk starts from every start
+// term and steps object to subject along the object index. The report
+// counts the edges examined across every hop; its Query is the caller's.
+func (m *Manager) pathLocked(start, predicates []rdf.Term, inverse bool) ([]rdf.Term, Explain) {
+	from, to, index := posS, posO, indexSubject
+	if inverse {
+		from, to, index = posO, posS, indexObject
+	}
+	e := m.explainLocked("path", index)
+	if len(predicates) == 0 {
+		out := make([]rdf.Term, 0, len(start))
+		for _, s := range start {
+			if inverse || s.IsResource() {
+				out = append(out, s)
+			}
+		}
+		sortTerms(out)
+		out = slices.Compact(out)
+		e.Matched = len(out)
+		return out, e
+	}
+	frontier := make(map[int32]struct{}, len(start))
 	for _, s := range start {
-		frontier[s] = struct{}{}
+		if id := m.st.lookup(s); id != noID && (inverse || s.IsResource()) {
+			frontier[id] = struct{}{}
+		}
 	}
 	for _, pred := range predicates {
-		next := make(map[rdf.Term]struct{})
+		want := m.st.lookup(pred)
+		next := make(map[int32]struct{})
 		for node := range frontier {
-			for t := range m.byObject[node] {
-				if t.Predicate == pred {
-					next[t.Subject] = struct{}{}
+			list := m.st.dict[node].post[from]
+			e.Candidates += len(list)
+			for _, r := range list {
+				if k := m.st.rows[r].ids; k[posP] == want {
+					next[k[to]] = struct{}{}
 				}
 			}
 		}
@@ -72,9 +80,10 @@ func (m *Manager) PathInverse(start []rdf.Term, predicates ...rdf.Term) []rdf.Te
 		}
 	}
 	out := make([]rdf.Term, 0, len(frontier))
-	for t := range frontier {
-		out = append(out, t)
+	for id := range frontier {
+		out = append(out, m.st.term(id))
 	}
 	sortTerms(out)
-	return out
+	e.Matched = len(out)
+	return out, e
 }

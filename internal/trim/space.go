@@ -10,24 +10,27 @@ import (
 // The deep space accountant: where the store's bytes actually go, walked
 // exactly under the read lock. Stats.ApproxBytes has always summed term
 // text as a portable proxy for the paper's §6 space trade-off; this file
-// breaks that figure down far enough to act on — total vs unique string
-// bytes per triple position, the hash-index overhead the three
-// per-position indexes add on top, per-predicate byte attribution joined
-// with the PR 6 cardinality table, and the projected win of the uint32
-// term dictionary (ROADMAP item 1), so the dictionary PR lands against a
-// measured baseline instead of a guess.
+// breaks that figure down far enough to act on. The string figures —
+// total vs unique bytes per triple position, the duplication ratio, and
+// per-predicate byte attribution joined with the cardinality table —
+// describe the data, whatever layout holds it. The layout figures report
+// what the interned layout (store.go) holds: the dictionary with one copy
+// of each distinct term's strings, the id triples, the posting lists per
+// index, and the cardinality table.
 //
-// All overhead figures are estimates from the map-geometry model below
-// (Go does not expose per-map footprints); the string-byte figures are
-// exact sums over the live graph.
+// Slices are counted at their capacity. Go does not expose per-map
+// footprints, so map figures are estimates from the map-geometry model
+// below; the string-byte figures are exact.
 
 // Word and header sizes of the 64-bit memory model the estimates assume.
 const (
 	wordBytes         = 8
 	stringHeaderBytes = 2 * wordBytes                   // pointer + length
 	termBytes         = wordBytes + 2*stringHeaderBytes // kind word + value/dtype headers = 40
-	tripleBytes       = 3 * termBytes                   // = 120
 	sliceHeaderBytes  = 3 * wordBytes                   // pointer + len + cap
+	idBytes           = 4                               // an int32 term id or row index
+	tripleBytes       = 3 * idBytes                     // a triple as three ids = 12
+	rowBytes          = tripleBytes + 3*idBytes         // ids + posting offsets = 24
 )
 
 // mapBytes estimates the resident footprint of a Go map holding n entries
@@ -61,9 +64,9 @@ type PositionSpace struct {
 	UniqueBytes int64 `json:"unique_bytes"`
 }
 
-// IndexSpace is one hash index's estimated overhead: the outer map
-// (term -> set pointer), plus every inner triple set with its 120-byte
-// triple-struct keys and bucket metadata.
+// IndexSpace is one index: the posting lists of one triple position,
+// with a slice header per dictionary slot. Buckets counts the terms with
+// a non-empty list there, Entries the triples listed.
 type IndexSpace struct {
 	Name          string `json:"name"`
 	Buckets       int    `json:"buckets"`
@@ -80,26 +83,6 @@ type PredicateSpace struct {
 	Triples    int     `json:"triples"`
 	TotalBytes int64   `json:"total_bytes"`
 	Share      float64 `json:"share"`
-}
-
-// InterningProjection is the measured business case for ROADMAP item 1:
-// what the store would cost if every distinct term were interned to a
-// uint32 id — one string copy per distinct term in a dictionary, 12-byte
-// triples, and uint32 index postings instead of 120-byte triple keys.
-type InterningProjection struct {
-	// DictionaryBytes: unique string data + an id->term table (string
-	// headers) + a term->id lookup map.
-	DictionaryBytes int64 `json:"dictionary_bytes"`
-	// TripleBytes: triples at 3 uint32 ids each.
-	TripleBytes int64 `json:"triple_bytes"`
-	// IndexBytes: three postings layouts at one uint32 triple ref per
-	// entry plus a slice header per distinct key.
-	IndexBytes int64 `json:"index_bytes"`
-	// ProjectedBytes is the dictionary-store total; SavedBytes and Factor
-	// compare it against the current EstimatedBytes.
-	ProjectedBytes int64   `json:"projected_bytes"`
-	SavedBytes     int64   `json:"saved_bytes"`
-	Factor         float64 `json:"factor"`
 }
 
 // SpaceStats is the deep space report for the store, produced by
@@ -123,30 +106,26 @@ type SpaceStats struct {
 	// the average string byte is stored. 1.0 means no duplication.
 	DuplicationRatio float64 `json:"duplication_ratio"`
 
-	// Struct and index overhead estimates. GraphBytes covers the ground-
-	// truth triple set (its 120-byte triple keys and map buckets); each
-	// index stores its own triple-key copies, so a stored triple costs
-	// four struct copies before any string data.
-	GraphBytes         int64        `json:"graph_bytes"`
-	Indexes            []IndexSpace `json:"indexes"`
-	IndexOverheadBytes int64        `json:"index_overhead_bytes"`
+	// The layout, component by component; the four sum to
+	// EstimatedBytes. DictionaryBytes is the id -> term table, the
+	// term -> id map, the free-id list, and one copy of each distinct
+	// term's strings (UniqueStringBytes). TripleBytes is the rows (three
+	// ids and three posting offsets each) and the triple -> row map.
+	// IndexOverheadBytes sums the three Indexes' posting lists.
 	// CardOverheadBytes is the per-predicate cardinality table
 	// (refcounted subject/object maps).
-	CardOverheadBytes int64 `json:"card_overhead_bytes"`
+	DictionaryBytes    int64        `json:"dictionary_bytes"`
+	TripleBytes        int64        `json:"triple_bytes"`
+	Indexes            []IndexSpace `json:"indexes"`
+	IndexOverheadBytes int64        `json:"index_overhead_bytes"`
+	CardOverheadBytes  int64        `json:"card_overhead_bytes"`
 
-	// EstimatedBytes is the resident-store estimate: graph + indexes +
-	// cardinality overhead + one string-data copy per term reference
-	// (term structs in map keys share string backings with each other,
-	// but distinct parses of equal strings do not, so the total view is
-	// the honest upper bound the duplication ratio discounts).
+	// EstimatedBytes is the resident-store estimate.
 	EstimatedBytes int64   `json:"estimated_bytes"`
 	BytesPerTriple float64 `json:"bytes_per_triple"`
 
 	// Predicates attributes string bytes per predicate, heaviest first.
 	Predicates []PredicateSpace `json:"predicates"`
-
-	// Interning is the projected dictionary-store cost (ROADMAP item 1).
-	Interning InterningProjection `json:"interning"`
 }
 
 // Space computes the deep space report in one pass under the read lock
@@ -160,7 +139,6 @@ func (m *Manager) Space() SpaceStats {
 	gSpaceUniqueBytes.Set(s.UniqueStringBytes)
 	gSpaceBytesPerTriple.Set(int64(s.BytesPerTriple))
 	gSpaceDupPct.Set(int64(s.DuplicationRatio * 100))
-	gSpaceInterningSaved.Set(s.Interning.SavedBytes)
 	return s
 }
 
@@ -170,85 +148,74 @@ func termStringBytes(t rdf.Term) int64 {
 	return int64(len(t.Value()) + len(t.Datatype()))
 }
 
-// spaceLocked walks the graph, indexes, and cardinality table under the
-// held lock and assembles the report.
+// spaceLocked walks the dictionary, the posting lists, and the
+// cardinality table under the held lock and assembles the report.
 func (m *Manager) spaceLocked() SpaceStats {
+	st := &m.st
 	s := SpaceStats{
-		Triples:    m.graph.Len(),
-		Generation: m.generation,
+		Triples:     len(st.rows),
+		Generation:  m.generation,
+		UniqueTerms: len(st.ids),
 	}
-
-	seenAll := make(map[rdf.Term]struct{})
-	perPred := make(map[rdf.Term]int64, len(m.predCards))
 	positions := [3]*PositionSpace{&s.Subject, &s.Predicate, &s.Object}
-	seenPos := [3]map[rdf.Term]struct{}{
-		make(map[rdf.Term]struct{}),
-		make(map[rdf.Term]struct{}),
-		make(map[rdf.Term]struct{}),
+	s.Indexes = []IndexSpace{{Name: "spo"}, {Name: "pos"}, {Name: "osp"}}
+	for pos := range s.Indexes {
+		s.Indexes[pos].OverheadBytes = int64(cap(st.dict)) * sliceHeaderBytes
 	}
-	m.graph.Each(func(t rdf.Triple) bool {
-		for i, term := range [3]rdf.Term{t.Subject, t.Predicate, t.Object} {
-			b := termStringBytes(term)
-			p := positions[i]
-			p.Refs++
-			p.TotalBytes += b
-			if _, ok := seenPos[i][term]; !ok {
-				seenPos[i][term] = struct{}{}
-				p.Unique++
-				p.UniqueBytes += b
+	for _, e := range st.dict {
+		b := termStringBytes(e.term)
+		live := false
+		for pos, list := range e.post {
+			if len(list) == 0 {
+				continue
 			}
-			if _, ok := seenAll[term]; !ok {
-				seenAll[term] = struct{}{}
-				s.UniqueStringBytes += b
-			}
-			perPred[t.Predicate] += b
+			live = true
+			p := positions[pos]
+			p.Refs += len(list)
+			p.TotalBytes += int64(len(list)) * b
+			p.Unique++
+			p.UniqueBytes += b
+			ix := &s.Indexes[pos]
+			ix.Buckets++
+			ix.Entries += len(list)
+			ix.OverheadBytes += int64(cap(list)) * idBytes
 		}
-		return true
-	})
-	s.UniqueTerms = len(seenAll)
+		if live {
+			s.UniqueStringBytes += b
+		}
+	}
 	s.TotalStringBytes = s.Subject.TotalBytes + s.Predicate.TotalBytes + s.Object.TotalBytes
 	if s.UniqueStringBytes > 0 {
 		s.DuplicationRatio = float64(s.TotalStringBytes) / float64(s.UniqueStringBytes)
 	}
 
-	s.GraphBytes = mapBytes(s.Triples, tripleBytes)
-	indexes := []struct {
-		name string
-		idx  map[rdf.Term]map[rdf.Triple]struct{}
-	}{
-		{"spo", m.bySubject},
-		{"pos", m.byPredicate},
-		{"osp", m.byObject},
+	s.DictionaryBytes = int64(cap(st.dict))*termBytes + int64(cap(st.free))*idBytes +
+		mapBytes(len(st.ids), termBytes+idBytes) + s.UniqueStringBytes
+	s.TripleBytes = int64(cap(st.rows))*rowBytes + mapBytes(len(st.where), tripleBytes+idBytes)
+	for _, ix := range s.Indexes {
+		s.IndexOverheadBytes += ix.OverheadBytes
 	}
-	for _, ix := range indexes {
-		is := IndexSpace{Name: ix.name, Buckets: len(ix.idx)}
-		is.OverheadBytes = mapBytes(len(ix.idx), termBytes+wordBytes) // outer: term key -> set pointer
-		for _, set := range ix.idx {
-			is.Entries += len(set)
-			is.OverheadBytes += mapBytes(len(set), tripleBytes)
-		}
-		s.Indexes = append(s.Indexes, is)
-		s.IndexOverheadBytes += is.OverheadBytes
+	s.CardOverheadBytes = mapBytes(len(st.predCards), idBytes+wordBytes)
+	for _, pc := range st.predCards {
+		s.CardOverheadBytes += 3 * wordBytes // predCard struct: int + 2 map pointers
+		s.CardOverheadBytes += mapBytes(len(pc.subjects), 2*idBytes)
+		s.CardOverheadBytes += mapBytes(len(pc.objects), 2*idBytes)
 	}
-
-	s.CardOverheadBytes = mapBytes(len(m.predCards), termBytes+wordBytes)
-	for _, pc := range m.predCards {
-		s.CardOverheadBytes += wordBytes + 3*wordBytes // predCard struct (int + 2 map pointers, padded)
-		s.CardOverheadBytes += mapBytes(len(pc.subjects), termBytes+wordBytes)
-		s.CardOverheadBytes += mapBytes(len(pc.objects), termBytes+wordBytes)
-	}
-
-	s.EstimatedBytes = s.GraphBytes + s.IndexOverheadBytes + s.CardOverheadBytes + s.TotalStringBytes
+	s.EstimatedBytes = s.DictionaryBytes + s.TripleBytes + s.IndexOverheadBytes + s.CardOverheadBytes
 	if s.Triples > 0 {
 		s.BytesPerTriple = float64(s.EstimatedBytes) / float64(s.Triples)
 	}
 
-	s.Predicates = make([]PredicateSpace, 0, len(perPred))
-	for pred, bytes := range perPred {
-		ps := PredicateSpace{Predicate: pred.Value(), TotalBytes: bytes}
-		if pc, ok := m.predCards[pred]; ok {
-			ps.Triples = pc.triples
+	s.Predicates = make([]PredicateSpace, 0, len(st.predCards))
+	for pred, pc := range st.predCards {
+		term := st.term(pred)
+		list := st.dict[pred].post[posP]
+		bytes := int64(len(list)) * termStringBytes(term)
+		for _, r := range list {
+			k := st.rows[r].ids
+			bytes += termStringBytes(st.term(k[posS])) + termStringBytes(st.term(k[posO]))
 		}
+		ps := PredicateSpace{Predicate: term.Value(), Triples: pc.triples, TotalBytes: bytes}
 		if s.TotalStringBytes > 0 {
 			ps.Share = float64(bytes) / float64(s.TotalStringBytes)
 		}
@@ -260,37 +227,14 @@ func (m *Manager) spaceLocked() SpaceStats {
 		}
 		return s.Predicates[i].Predicate < s.Predicates[j].Predicate
 	})
-
-	s.Interning = m.interningLocked(s)
 	return s
-}
-
-// interningLocked projects the store's cost under the ROADMAP item-1
-// dictionary design: distinct terms interned to uint32 ids, triples as
-// [3]uint32, and each index as per-key uint32 postings lists.
-func (m *Manager) interningLocked(s SpaceStats) InterningProjection {
-	p := InterningProjection{
-		DictionaryBytes: s.UniqueStringBytes +
-			int64(s.UniqueTerms)*(stringHeaderBytes+4) + // id -> term table
-			mapBytes(s.UniqueTerms, stringHeaderBytes+4), // term -> id lookup
-		TripleBytes: int64(s.Triples) * 12,
-	}
-	for _, ix := range s.Indexes {
-		p.IndexBytes += int64(ix.Entries)*4 + int64(ix.Buckets)*sliceHeaderBytes
-	}
-	p.ProjectedBytes = p.DictionaryBytes + p.TripleBytes + p.IndexBytes
-	p.SavedBytes = s.EstimatedBytes - p.ProjectedBytes
-	if p.ProjectedBytes > 0 {
-		p.Factor = float64(s.EstimatedBytes) / float64(p.ProjectedBytes)
-	}
-	return p
 }
 
 // String renders the headline numbers in one line; the JSON form carries
 // the full breakdown.
 func (s SpaceStats) String() string {
-	return fmt.Sprintf("triples=%d est_bytes=%d bytes/triple=%.1f string_bytes=%d unique_bytes=%d dup=%.2fx index_overhead=%d interning_projected=%d (%.1fx smaller)",
+	return fmt.Sprintf("triples=%d est_bytes=%d bytes/triple=%.1f string_bytes=%d unique_bytes=%d dup=%.2fx dictionary=%d id_triples=%d postings=%d cards=%d",
 		s.Triples, s.EstimatedBytes, s.BytesPerTriple,
 		s.TotalStringBytes, s.UniqueStringBytes, s.DuplicationRatio,
-		s.IndexOverheadBytes, s.Interning.ProjectedBytes, s.Interning.Factor)
+		s.DictionaryBytes, s.TripleBytes, s.IndexOverheadBytes, s.CardOverheadBytes)
 }

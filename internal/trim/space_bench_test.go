@@ -38,9 +38,8 @@ func BenchmarkSpace(b *testing.B) {
 }
 
 // BenchmarkSelectAllocs pins the allocation cost of the bound-subject hot
-// path as a first-class metric (allocs/select), measured with the same
-// MemStats-delta technique as the trimq probe harness — the number the
-// interning work (ROADMAP item 1) must not regress.
+// path as a first-class metric (allocs/select), measured from the
+// runtime's MemStats deltas.
 func BenchmarkSelectAllocs(b *testing.B) {
 	m := benchSpaceStore(b)
 	pat := rdf.P(rdf.IRI("http://t/s5000"), rdf.Zero, rdf.Zero)

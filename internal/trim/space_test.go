@@ -71,15 +71,8 @@ func checkSpaceTruth(t *testing.T, m *Manager, step string) {
 	} else if s.DuplicationRatio != 0 {
 		t.Errorf("%s: DuplicationRatio = %v on empty store", step, s.DuplicationRatio)
 	}
-	if got := s.GraphBytes + s.IndexOverheadBytes + s.CardOverheadBytes + s.TotalStringBytes; got != s.EstimatedBytes {
-		t.Errorf("%s: EstimatedBytes = %d, components sum to %d", step, s.EstimatedBytes, got)
-	}
-	in := s.Interning
-	if got := in.DictionaryBytes + in.TripleBytes + in.IndexBytes; got != in.ProjectedBytes {
-		t.Errorf("%s: ProjectedBytes = %d, components sum to %d", step, in.ProjectedBytes, got)
-	}
-	if in.SavedBytes != s.EstimatedBytes-in.ProjectedBytes {
-		t.Errorf("%s: SavedBytes = %d, want %d", step, in.SavedBytes, s.EstimatedBytes-in.ProjectedBytes)
+	if got := s.DictionaryBytes + s.TripleBytes + s.IndexOverheadBytes + s.CardOverheadBytes; got != s.EstimatedBytes {
+		t.Errorf("%s: EstimatedBytes = %d, layout components sum to %d", step, s.EstimatedBytes, got)
 	}
 }
 
@@ -127,8 +120,8 @@ func TestSpaceTruthAcrossMutations(t *testing.T) {
 
 // TestSpaceDuplicationAndInterning pins the headline semantics on a
 // store built to share strings: the duplication ratio reflects the
-// sharing, the unique roll-up dedupes across positions, and the
-// projection actually projects a smaller store.
+// sharing, the unique roll-up dedupes across positions, and the layout's
+// components account for the whole estimate.
 func TestSpaceDuplicationAndInterning(t *testing.T) {
 	m := NewManager()
 	// One predicate and one object shared by every triple; subjects unique.
@@ -147,12 +140,8 @@ func TestSpaceDuplicationAndInterning(t *testing.T) {
 	if want := s.Subject.Unique + 2; s.UniqueTerms != want {
 		t.Fatalf("UniqueTerms = %d, want %d", s.UniqueTerms, want)
 	}
-	if s.Interning.ProjectedBytes >= s.EstimatedBytes {
-		t.Fatalf("interning projects %d bytes, not smaller than current %d",
-			s.Interning.ProjectedBytes, s.EstimatedBytes)
-	}
-	if s.Interning.Factor <= 1 {
-		t.Fatalf("interning Factor = %v, want > 1", s.Interning.Factor)
+	if got := s.DictionaryBytes + s.TripleBytes + s.IndexOverheadBytes + s.CardOverheadBytes; got != s.EstimatedBytes {
+		t.Fatalf("EstimatedBytes = %d, layout components sum to %d", s.EstimatedBytes, got)
 	}
 	if s.BytesPerTriple <= 0 {
 		t.Fatalf("BytesPerTriple = %v, want > 0", s.BytesPerTriple)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 )
 
 // Stats summarizes the contents of the store, used by cmd/trimq and the
@@ -22,9 +21,9 @@ type Stats struct {
 	// "space efficiency" trade-off discussion (§6).
 	ApproxBytes int `json:"approx_bytes"`
 	// IndexSPO/IndexPOS/IndexOSP are the total entry counts of the
-	// subject-, predicate-, and object-keyed hash indexes (each entry is
-	// one triple in one bucket), matching what the trim.index.* metrics
-	// expose. In a consistent store each equals Triples.
+	// subject, predicate, and object posting lists (each entry is one
+	// triple in one term's list). In a consistent store each equals
+	// Triples.
 	IndexSPO int `json:"index_spo"`
 	IndexPOS int `json:"index_pos"`
 	IndexOSP int `json:"index_osp"`
@@ -41,45 +40,45 @@ type Stats struct {
 	// registered under the store's name yet.
 	Locks []obs.LockStats `json:"locks,omitempty"`
 	// Space is the deep space accountant's report (space.go): string-byte
-	// duplication, index overhead, per-predicate byte attribution, and the
-	// projected interning win, computed in the same locked pass.
+	// duplication, the bytes each part of the layout holds, and
+	// per-predicate byte attribution, computed under the same lock.
 	Space SpaceStats `json:"space"`
 }
 
-// Stats computes current statistics in one pass under a read lock.
+// Stats computes current statistics in one pass over the dictionary under
+// a read lock.
 func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 
 	mStatsTotal.Inc()
 	s := Stats{
-		Triples:            m.graph.Len(),
-		DistinctSubjects:   len(m.bySubject),
-		DistinctPredicates: len(m.byPredicate),
-		DistinctObjects:    len(m.byObject),
-		Generation:         m.generation,
-		Predicates:         m.predicateStatsLocked(),
-		Space:              m.spaceLocked(),
+		Triples:    len(m.st.rows),
+		Generation: m.generation,
+		Predicates: m.predicateStatsLocked(),
+		Space:      m.spaceLocked(),
 	}
-	for _, set := range m.bySubject {
-		s.IndexSPO += len(set)
-	}
-	for _, set := range m.byPredicate {
-		s.IndexPOS += len(set)
-	}
-	for _, set := range m.byObject {
-		s.IndexOSP += len(set)
-	}
-	m.graph.Each(func(t rdf.Triple) bool {
-		if t.Object.IsLiteral() {
-			s.LiteralObjects++
-		} else {
-			s.ResourceObjects++
+	for _, e := range m.st.dict {
+		subj, pred, obj := len(e.post[posS]), len(e.post[posP]), len(e.post[posO])
+		if subj > 0 {
+			s.DistinctSubjects++
 		}
-		s.ApproxBytes += len(t.Subject.Value()) + len(t.Predicate.Value()) +
-			len(t.Object.Value()) + len(t.Object.Datatype())
-		return true
-	})
+		if pred > 0 {
+			s.DistinctPredicates++
+		}
+		if obj > 0 {
+			s.DistinctObjects++
+			if e.term.IsLiteral() {
+				s.LiteralObjects += obj
+			} else {
+				s.ResourceObjects += obj
+			}
+		}
+		s.IndexSPO += subj
+		s.IndexPOS += pred
+		s.IndexOSP += obj
+		s.ApproxBytes += (subj+pred+obj)*len(e.term.Value()) + obj*len(e.term.Datatype())
+	}
 	if ls, ok := obs.LockProfile(obs.LockTrimStore); ok {
 		s.Locks = []obs.LockStats{ls}
 	}

@@ -1,0 +1,215 @@
+package trim
+
+import (
+	"repro/internal/rdf"
+)
+
+// The store's one layout, the "alternative implementation mechanism" §6
+// promises for large data sets. Every distinct term is interned once in a
+// dictionary under a dense int32 id, each triple is stored once as three
+// ids, and each term keeps one posting list per triple position: the rows
+// of the triples that carry it there. A row records its offset in its
+// three lists, so a remove swap-deletes the three entries without
+// scanning a list and leaves no tombstone behind. A term whose last
+// triple is removed leaves the dictionary and its id is reused, so churn
+// through distinct values (SetUnique on a counter) keeps the dictionary
+// bounded.
+
+// Triple positions: the index of a term in an idTriple and of a posting
+// list in an entry.
+const (
+	posS = iota
+	posP
+	posO
+)
+
+// anyID marks a wildcard position of an idPattern; noID a position bound
+// to a term the dictionary does not hold, which matches no row.
+const (
+	anyID int32 = -1
+	noID  int32 = -2
+)
+
+// idTriple is a triple as the dictionary ids of its subject, predicate
+// and object.
+type idTriple [3]int32
+
+// idPattern is a pattern over ids: anyID or noID, or a term id per
+// position.
+type idPattern [3]int32
+
+// matches reports whether a stored triple satisfies the pattern.
+func (q idPattern) matches(k idTriple) bool {
+	return (q[posS] == anyID || q[posS] == k[posS]) &&
+		(q[posP] == anyID || q[posP] == k[posP]) &&
+		(q[posO] == anyID || q[posO] == k[posO])
+}
+
+// entry is one dictionary slot: the term and, per position, the rows of
+// the triples carrying it there. A slot whose three lists are empty is
+// free and holds the zero term.
+type entry struct {
+	term rdf.Term
+	post [3][]int32
+}
+
+// row is one stored triple and its offset in each of its terms' posting
+// lists.
+type row struct {
+	ids idTriple
+	at  [3]int32
+}
+
+// store holds the triples in the interned layout, with the per-predicate
+// cardinalities (cardinality.go) kept beside them. It is not safe for
+// concurrent use; the Manager guards its store with the store lock.
+type store struct {
+	dict []entry            // id -> entry
+	ids  map[rdf.Term]int32 // live term -> id
+	free []int32            // freed ids, reused before dict grows
+	rows []row              // the triples; a remove moves the last row into the hole
+	// where finds a triple's index in rows.
+	where     map[idTriple]int32
+	predCards map[int32]*predCard // keyed by predicate id
+}
+
+// newStore returns an empty store sized for n triples.
+func newStore(n int) store {
+	return store{
+		ids:       make(map[rdf.Term]int32),
+		rows:      make([]row, 0, n),
+		where:     make(map[idTriple]int32, n),
+		predCards: make(map[int32]*predCard),
+	}
+}
+
+// term returns the term an id stands for.
+func (s *store) term(id int32) rdf.Term { return s.dict[id].term }
+
+// triple materializes the triple stored in row r.
+func (s *store) triple(r int32) rdf.Triple {
+	k := s.rows[r].ids
+	return rdf.T(s.term(k[posS]), s.term(k[posP]), s.term(k[posO]))
+}
+
+// lookup returns a term's id, or noID when no stored triple carries it.
+func (s *store) lookup(t rdf.Term) int32 {
+	if id, ok := s.ids[t]; ok {
+		return id
+	}
+	return noID
+}
+
+// find returns the row holding a triple. A term the dictionary lacks
+// looks up as noID, which no stored row carries.
+func (s *store) find(t rdf.Triple) (int32, bool) {
+	r, ok := s.where[idTriple{s.lookup(t.Subject), s.lookup(t.Predicate), s.lookup(t.Object)}]
+	return r, ok
+}
+
+// intern returns a term's id, giving a new term a free or fresh slot.
+func (s *store) intern(t rdf.Term) int32 {
+	if id, ok := s.ids[t]; ok {
+		return id
+	}
+	var id int32
+	if n := len(s.free); n > 0 {
+		id = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		id = int32(len(s.dict))
+		s.dict = append(s.dict, entry{})
+	}
+	s.dict[id].term = t
+	s.ids[t] = id
+	return id
+}
+
+// add stores a valid triple, reporting whether it was new.
+func (s *store) add(t rdf.Triple) bool {
+	k := idTriple{s.intern(t.Subject), s.intern(t.Predicate), s.intern(t.Object)}
+	if _, ok := s.where[k]; ok {
+		return false
+	}
+	r := int32(len(s.rows))
+	rw := row{ids: k}
+	for pos, id := range k {
+		list := &s.dict[id].post[pos]
+		rw.at[pos] = int32(len(*list))
+		*list = append(*list, r)
+	}
+	s.rows = append(s.rows, rw)
+	s.where[k] = r
+	s.cardAdd(k)
+	return true
+}
+
+// remove deletes a triple, reporting whether it was stored. Each posting
+// list moves its last entry into the removed one's slot, the last row
+// moves into the removed row's slot, and a term left in no triple frees
+// its id.
+func (s *store) remove(t rdf.Triple) bool {
+	r, ok := s.find(t)
+	if !ok {
+		return false
+	}
+	gone := s.rows[r]
+	for pos, id := range gone.ids {
+		list := s.dict[id].post[pos]
+		last := list[len(list)-1]
+		list[gone.at[pos]] = last
+		s.rows[last].at[pos] = gone.at[pos]
+		s.dict[id].post[pos] = list[:len(list)-1]
+	}
+	if end := int32(len(s.rows) - 1); r != end {
+		moved := s.rows[end]
+		s.rows[r] = moved
+		for pos, id := range moved.ids {
+			s.dict[id].post[pos][moved.at[pos]] = r
+		}
+		s.where[moved.ids] = r
+	}
+	s.rows = s.rows[:len(s.rows)-1]
+	delete(s.where, gone.ids)
+	s.cardRemove(gone.ids)
+	for _, id := range gone.ids {
+		s.release(id)
+	}
+	return true
+}
+
+// release frees a live id that no triple carries any more.
+func (s *store) release(id int32) {
+	e := &s.dict[id]
+	if e.term.IsZero() || len(e.post[posS])+len(e.post[posP])+len(e.post[posO]) > 0 {
+		return
+	}
+	delete(s.ids, e.term)
+	*e = entry{}
+	s.free = append(s.free, id)
+}
+
+// plan resolves a pattern to ids and picks the smallest posting list
+// among its bound positions, subject, then object, then predicate winning
+// ties. The choice is indexNone, with a nil list, when nothing is bound.
+func (s *store) plan(p rdf.Pattern) (idPattern, []int32, indexChoice) {
+	q := idPattern{anyID, anyID, anyID}
+	var best []int32
+	choice := indexNone
+	consider := func(pos int, t rdf.Term, which indexChoice) {
+		if t.IsZero() {
+			return
+		}
+		var list []int32 // an absent term's list is empty, still a valid choice
+		if q[pos] = s.lookup(t); q[pos] != noID {
+			list = s.dict[q[pos]].post[pos]
+		}
+		if choice == indexNone || len(list) < len(best) {
+			best, choice = list, which
+		}
+	}
+	consider(posS, p.Subject, indexSubject)
+	consider(posO, p.Object, indexObject)
+	consider(posP, p.Predicate, indexPredicate)
+	return q, best, choice
+}

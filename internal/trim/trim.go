@@ -4,9 +4,10 @@
 // representation. Through TRIM, the DMI can create, remove, persist (through
 // XML files), query, and create simple views over the underlying triples."
 //
-// The Manager is a concurrency-safe, fully indexed in-memory triple store.
-// Selection queries (any subset of subject/predicate/object fixed) are served
-// from hash indexes; views are reachability closures from a root resource.
+// The Manager is a concurrency-safe, fully indexed in-memory triple store
+// over interned terms (store.go). Selection queries (any subset of
+// subject/predicate/object fixed) are served from per-term posting lists;
+// views are reachability closures from a root resource.
 package trim
 
 import (
@@ -21,26 +22,18 @@ import (
 // NewManager. All methods are safe for concurrent use.
 type Manager struct {
 	// mu is the store lock, instrumented: wait/hold histograms land in the
-	// lock.trim.store.* metric families and /debug/contention — the
-	// telemetry the ROADMAP item-2 sharding work is scored against.
+	// lock.trim.store.* metric families and /debug/contention.
 	mu *obs.TrackedRWMutex
-	// graph is the ground truth set of triples; guarded by mu.
-	graph *rdf.Graph
-	// Hash indexes, one per triple position. Values are sets of triples.
-	bySubject   map[rdf.Term]map[rdf.Triple]struct{} // guarded by mu
-	byPredicate map[rdf.Term]map[rdf.Triple]struct{} // guarded by mu
-	byObject    map[rdf.Term]map[rdf.Triple]struct{} // guarded by mu
-	// predCards tracks per-predicate cardinality (triples, distinct
-	// subjects/objects), maintained by the mutation points so EXPLAIN's
-	// selectivity estimates are always exact. Guarded by mu.
-	predCards map[rdf.Term]*predCard
+	// st holds the triples in the interned layout (store.go): the term
+	// dictionary, the id triples, one posting list per term and position,
+	// and the per-predicate cardinalities. Guarded by mu.
+	st store
 	// generation increments on every successful mutation; observers and
 	// optimistic readers use it to detect change. Guarded by mu.
 	generation uint64
-	observers  map[int]Observer // guarded by mu
-	// seqObservers receive the same events with their generation stamp;
-	// the WAL backend uses the stamp to order captured ops exactly even
-	// when concurrent mutators deliver out of order. Guarded by mu.
+	// seqObservers receive every mutation with its generation stamp; the
+	// WAL backend uses the stamp to order captured ops exactly even when
+	// concurrent mutators deliver out of order. Guarded by mu.
 	seqObservers map[int]SeqObserver // guarded by mu
 	nextObsID    int                 // guarded by mu
 	// pending stages observer notifications while mu is held; the mutating
@@ -48,19 +41,17 @@ type Manager struct {
 	pending []obsEvent
 }
 
-// Observer receives change notifications. Added is true for insertions,
-// false for removals. Observers run synchronously on the mutating
-// goroutine after the store lock is released: within one mutating call
-// events arrive in mutation order, between concurrent calls the order is
-// unspecified. Because no lock is held, observers may call back into the
-// Manager; a slow observer delays only its own mutating call, not readers.
-type Observer func(t rdf.Triple, added bool)
-
-// SeqObserver is an Observer that additionally receives the store
-// generation at which the mutation committed. Generations are unique and
-// strictly increasing per mutation, so a consumer that buffers events from
+// SeqObserver receives change notifications: added is true for
+// insertions, false for removals, and gen is the store generation at
+// which the mutation committed. Generations are unique and strictly
+// increasing per mutation, so a consumer that buffers events from
 // concurrent mutators can sort by gen to recover the exact commit order —
-// the property the WAL backend's replay correctness rests on.
+// the property the WAL backend's replay correctness rests on. Observers
+// run synchronously on the mutating goroutine after the store lock is
+// released: within one mutating call events arrive in mutation order,
+// between concurrent calls the order is unspecified. Because no lock is
+// held, observers may call back into the Manager; a slow observer delays
+// only its own mutating call, not readers.
 type SeqObserver func(gen uint64, t rdf.Triple, added bool)
 
 // obsEvent is one staged observer notification.
@@ -74,12 +65,7 @@ type obsEvent struct {
 func NewManager() *Manager {
 	return &Manager{
 		mu:           obs.NewTrackedRWMutex(obs.LockTrimStore),
-		graph:        rdf.NewGraph(),
-		bySubject:    make(map[rdf.Term]map[rdf.Triple]struct{}),
-		byPredicate:  make(map[rdf.Term]map[rdf.Triple]struct{}),
-		byObject:     make(map[rdf.Term]map[rdf.Triple]struct{}),
-		predCards:    make(map[rdf.Term]*predCard),
-		observers:    make(map[int]Observer),
+		st:           newStore(0),
 		seqObservers: make(map[int]SeqObserver),
 	}
 }
@@ -91,9 +77,9 @@ func (m *Manager) Create(t rdf.Triple) (bool, error) {
 	start := time.Now()
 	m.mu.Lock()
 	added, err := m.createLocked(t)
-	events, targets, seqTargets := m.drainLocked()
+	events, targets := m.drainLocked()
 	m.mu.Unlock()
-	m.deliver(targets, seqTargets, events)
+	m.deliver(targets, events)
 	mCreateNS.ObserveSince(start)
 	mCreateTotal.Inc()
 	switch {
@@ -106,17 +92,12 @@ func (m *Manager) Create(t rdf.Triple) (bool, error) {
 }
 
 func (m *Manager) createLocked(t rdf.Triple) (bool, error) {
-	added, err := m.graph.Add(t)
-	if err != nil {
+	if err := t.Validate(); err != nil {
 		return false, fmt.Errorf("trim: create: %w", err)
 	}
-	if !added {
+	if !m.st.add(t) {
 		return false, nil
 	}
-	indexAdd(m.bySubject, t.Subject, t)
-	indexAdd(m.byPredicate, t.Predicate, t)
-	indexAdd(m.byObject, t.Object, t)
-	m.cardAddLocked(t)
 	m.generation++
 	m.queueNotifyLocked(t, true)
 	return true, nil
@@ -126,9 +107,9 @@ func (m *Manager) createLocked(t rdf.Triple) (bool, error) {
 func (m *Manager) Remove(t rdf.Triple) bool {
 	m.mu.Lock()
 	removed := m.removeLocked(t)
-	events, targets, seqTargets := m.drainLocked()
+	events, targets := m.drainLocked()
 	m.mu.Unlock()
-	m.deliver(targets, seqTargets, events)
+	m.deliver(targets, events)
 	mRemoveTotal.Inc()
 	if removed {
 		mRemoveHit.Inc()
@@ -137,13 +118,9 @@ func (m *Manager) Remove(t rdf.Triple) bool {
 }
 
 func (m *Manager) removeLocked(t rdf.Triple) bool {
-	if !m.graph.Remove(t) {
+	if !m.st.remove(t) {
 		return false
 	}
-	indexRemove(m.bySubject, t.Subject, t)
-	indexRemove(m.byPredicate, t.Predicate, t)
-	indexRemove(m.byObject, t.Object, t)
-	m.cardRemoveLocked(t)
 	m.generation++
 	m.queueNotifyLocked(t, false)
 	return true
@@ -157,9 +134,9 @@ func (m *Manager) RemoveMatching(p rdf.Pattern) int {
 	for _, t := range matches {
 		m.removeLocked(t)
 	}
-	events, targets, seqTargets := m.drainLocked()
+	events, targets := m.drainLocked()
 	m.mu.Unlock()
-	m.deliver(targets, seqTargets, events)
+	m.deliver(targets, events)
 	return len(matches)
 }
 
@@ -167,14 +144,15 @@ func (m *Manager) RemoveMatching(p rdf.Pattern) int {
 func (m *Manager) Has(t rdf.Triple) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.graph.Has(t)
+	_, ok := m.st.find(t)
+	return ok
 }
 
 // Len returns the number of stored triples.
 func (m *Manager) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.graph.Len()
+	return len(m.st.rows)
 }
 
 // Generation returns the mutation counter; it increases on every successful
@@ -197,8 +175,8 @@ func (m *Manager) advanceGeneration(gen uint64) {
 
 // Select returns all triples matching the pattern in deterministic order.
 // The query planner uses the most selective available index: an exact
-// subject, object, or predicate binding narrows the scan to that index
-// bucket; a fully wild pattern scans the whole store.
+// subject, object, or predicate binding narrows the scan to that term's
+// posting list; a fully wild pattern scans the whole store.
 func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 	return m.SelectFiltered(p, nil)
 }
@@ -232,40 +210,20 @@ func (m *Manager) selectLocked(p rdf.Pattern) []rdf.Triple {
 	return out
 }
 
-// chooseIndexLocked picks the smallest applicable index bucket. The second
-// result is indexNone when no position is bound (full scan needed).
-func (m *Manager) chooseIndexLocked(p rdf.Pattern) (map[rdf.Triple]struct{}, indexChoice) {
-	var best map[rdf.Triple]struct{}
-	choice := indexNone
-	consider := func(idx map[rdf.Term]map[rdf.Triple]struct{}, key rdf.Term, which indexChoice) {
-		if key.IsZero() {
-			return
-		}
-		bucket := idx[key] // nil bucket = empty result, still a valid choice
-		if choice == indexNone || len(bucket) < len(best) {
-			best, choice = bucket, which
-		}
-	}
-	consider(m.bySubject, p.Subject, indexSubject)
-	consider(m.byObject, p.Object, indexObject)
-	consider(m.byPredicate, p.Predicate, indexPredicate)
-	return best, choice
-}
-
 // Count returns the number of triples matching the pattern without
-// materializing them in sorted order.
+// materializing them.
 func (m *Manager) Count(p rdf.Pattern) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	mCountTotal.Inc()
-	bucket, choice := m.chooseIndexLocked(p)
+	q, list, choice := m.st.plan(p)
 	choice.count()
 	if choice == indexNone {
-		return m.graph.Len()
+		return len(m.st.rows)
 	}
 	n := 0
-	for t := range bucket {
-		if p.Matches(t) {
+	for _, r := range list {
+		if q.matches(m.st.rows[r].ids) {
 			n++
 		}
 	}
@@ -318,9 +276,9 @@ func (m *Manager) SetUnique(subject, predicate, object rdf.Term) error {
 		m.removeLocked(t)
 	}
 	_, err := m.createLocked(rdf.T(subject, predicate, object))
-	events, targets, seqTargets := m.drainLocked()
+	events, targets := m.drainLocked()
 	m.mu.Unlock()
-	m.deliver(targets, seqTargets, events)
+	m.deliver(targets, events)
 	return err
 }
 
@@ -328,35 +286,36 @@ func (m *Manager) SetUnique(subject, predicate, object rdf.Term) error {
 func (m *Manager) Snapshot() *rdf.Graph {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.graph.Clone()
+	g := rdf.NewGraph()
+	for r := range m.st.rows {
+		// Stored triples were validated on the way in.
+		g.Add(m.st.triple(int32(r)))
+	}
+	return g
 }
 
-// Replace swaps the manager's contents for the given graph, rebuilding all
-// indexes. It is the load primitive for persistence. Loaded triples count
-// toward trim.create.total/new (they enter the store like any create) and
-// additionally toward trim.load.triples, which tells bulk loads apart;
-// trim.create.ns records only individual Create calls.
+// Replace swaps the manager's contents for the given graph, building a
+// fresh store outside the lock. It is the load primitive for persistence.
+// Loaded triples count toward trim.create.total/new (they enter the store
+// like any create) and additionally toward trim.load.triples, which tells
+// bulk loads apart; trim.create.ns records only individual Create calls.
+// Replace notifies no observer.
 func (m *Manager) Replace(g *rdf.Graph) {
 	start := time.Now()
 	defer mLoadNS.ObserveSince(start)
-	n := int64(g.Len())
-	mLoadTriples.Add(n)
-	mCreateTotal.Add(n)
-	mCreateNew.Add(n)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.graph = g.Clone()
-	m.bySubject = make(map[rdf.Term]map[rdf.Triple]struct{})
-	m.byPredicate = make(map[rdf.Term]map[rdf.Triple]struct{})
-	m.byObject = make(map[rdf.Term]map[rdf.Triple]struct{})
-	m.predCards = make(map[rdf.Term]*predCard)
-	m.graph.Each(func(t rdf.Triple) bool {
-		indexAdd(m.bySubject, t.Subject, t)
-		indexAdd(m.byPredicate, t.Predicate, t)
-		indexAdd(m.byObject, t.Object, t)
-		m.cardAddLocked(t)
+	n := g.Len()
+	mLoadTriples.Add(int64(n))
+	mCreateTotal.Add(int64(n))
+	mCreateNew.Add(int64(n))
+	fresh := newStore(n)
+	g.Each(func(t rdf.Triple) bool {
+		// A graph holds only validated triples.
+		fresh.add(t)
 		return true
 	})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.st = fresh
 	m.generation++
 }
 
@@ -365,19 +324,7 @@ func (m *Manager) Clear() {
 	m.Replace(rdf.NewGraph())
 }
 
-// Observe registers an observer and returns a handle for Unobserve.
-func (m *Manager) Observe(obs Observer) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id := m.nextObsID
-	m.nextObsID++
-	m.observers[id] = obs
-	return id
-}
-
-// ObserveSeq registers a generation-stamped observer and returns a handle
-// for Unobserve. Delivery rules match Observe: synchronously on the
-// mutating goroutine, after the store lock is released.
+// ObserveSeq registers an observer and returns a handle for Unobserve.
 func (m *Manager) ObserveSeq(obs SeqObserver) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -387,11 +334,10 @@ func (m *Manager) ObserveSeq(obs SeqObserver) int {
 	return id
 }
 
-// Unobserve removes a previously registered observer (plain or seq).
+// Unobserve removes a previously registered observer.
 func (m *Manager) Unobserve(id int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.observers, id)
 	delete(m.seqObservers, id)
 }
 
@@ -401,7 +347,7 @@ func (m *Manager) Unobserve(id int) {
 // mutating entry point delivers it after unlocking. The generation stamp
 // is captured now, under the lock, where it is exact.
 func (m *Manager) queueNotifyLocked(t rdf.Triple, added bool) {
-	if len(m.observers) == 0 && len(m.seqObservers) == 0 {
+	if len(m.seqObservers) == 0 {
 		return
 	}
 	m.pending = append(m.pending, obsEvent{gen: m.generation, t: t, added: added})
@@ -410,56 +356,29 @@ func (m *Manager) queueNotifyLocked(t rdf.Triple, added bool) {
 // drainLocked takes the staged notifications and a snapshot of the current
 // observers. It returns data, not a closure: delivery happens in the
 // caller, demonstrably outside the lock.
-func (m *Manager) drainLocked() ([]obsEvent, []Observer, []SeqObserver) {
+func (m *Manager) drainLocked() ([]obsEvent, []SeqObserver) {
 	if len(m.pending) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	events := m.pending
 	m.pending = nil
-	targets := make([]Observer, 0, len(m.observers))
-	for _, o := range m.observers {
+	targets := make([]SeqObserver, 0, len(m.seqObservers))
+	for _, o := range m.seqObservers {
 		targets = append(targets, o)
 	}
-	seqTargets := make([]SeqObserver, 0, len(m.seqObservers))
-	for _, o := range m.seqObservers {
-		seqTargets = append(seqTargets, o)
-	}
-	return events, targets, seqTargets
+	return events, targets
 }
 
-// deliver fans staged events out to the observer snapshots, in mutation
+// deliver fans staged events out to the observer snapshot, in mutation
 // order, with no lock held.
-func (m *Manager) deliver(targets []Observer, seqTargets []SeqObserver, events []obsEvent) {
-	if len(events) == 0 || (len(targets) == 0 && len(seqTargets) == 0) {
+func (m *Manager) deliver(targets []SeqObserver, events []obsEvent) {
+	if len(events) == 0 || len(targets) == 0 {
 		return
 	}
-	mNotifyFanout.Add(int64(len(events)) * int64(len(targets)+len(seqTargets)))
+	mNotifyFanout.Add(int64(len(events)) * int64(len(targets)))
 	for _, ev := range events {
 		for _, o := range targets {
-			o(ev.t, ev.added)
-		}
-		for _, o := range seqTargets {
 			o(ev.gen, ev.t, ev.added)
 		}
-	}
-}
-
-func indexAdd(idx map[rdf.Term]map[rdf.Triple]struct{}, key rdf.Term, t rdf.Triple) {
-	set, ok := idx[key]
-	if !ok {
-		set = make(map[rdf.Triple]struct{})
-		idx[key] = set
-	}
-	set[t] = struct{}{}
-}
-
-func indexRemove(idx map[rdf.Term]map[rdf.Triple]struct{}, key rdf.Term, t rdf.Triple) {
-	set, ok := idx[key]
-	if !ok {
-		return
-	}
-	delete(set, t)
-	if len(set) == 0 {
-		delete(idx, key)
 	}
 }

@@ -194,7 +194,7 @@ func TestGenerationAdvances(t *testing.T) {
 func TestObservers(t *testing.T) {
 	m := NewManager()
 	var events []string
-	id := m.Observe(func(x rdf.Triple, added bool) {
+	id := m.ObserveSeq(func(_ uint64, x rdf.Triple, added bool) {
 		events = append(events, fmt.Sprintf("%v:%v", added, x.Object.Value()))
 	})
 	m.Create(tr("s", "p", "1"))

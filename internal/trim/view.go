@@ -1,7 +1,7 @@
 package trim
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -43,36 +43,33 @@ func (m *Manager) ViewFiltered(root rdf.Term, filter func(rdf.Triple) bool) *rdf
 // viewExplainLocked is the reachability walk behind View, ViewFiltered,
 // and ViewExplain; Candidates counts every edge examined.
 func (m *Manager) viewExplainLocked(root rdf.Term, filter func(rdf.Triple) bool) (*rdf.Graph, Explain) {
-	e := Explain{
-		Op:         "view",
-		Index:      indexSubject.String(),
-		Observers:  len(m.observers),
-		StoreSize:  m.graph.Len(),
-		Generation: m.generation,
-	}
+	e := m.explainLocked("view", indexSubject)
 	out := rdf.NewGraph()
-	if !root.IsResource() {
+	id := m.st.lookup(root)
+	if !root.IsResource() || id == noID {
 		return out, e
 	}
-	visited := map[rdf.Term]struct{}{root: {}}
-	frontier := []rdf.Term{root}
+	visited := map[int32]struct{}{id: {}}
+	frontier := []int32{id}
 	for len(frontier) > 0 {
 		node := frontier[0]
 		frontier = frontier[1:]
-		for t := range m.bySubject[node] {
-			e.Candidates++
+		list := m.st.dict[node].post[posS]
+		e.Candidates += len(list)
+		for _, r := range list {
+			t := m.st.triple(r)
 			if filter != nil && !filter(t) {
 				continue
 			}
-			// Triples coming out of the graph are already validated.
+			// Triples coming out of the store are already validated.
 			if _, err := out.Add(t); err != nil {
 				// Unreachable by construction; skip defensively.
 				continue
 			}
-			obj := t.Object
-			if !obj.IsResource() {
+			if !t.Object.IsResource() {
 				continue
 			}
+			obj := m.st.rows[r].ids[posO]
 			if _, seen := visited[obj]; seen {
 				continue
 			}
@@ -88,23 +85,19 @@ func (m *Manager) viewExplainLocked(root rdf.Term, filter func(rdf.Triple) bool)
 // root itself when it is a resource), in deterministic order.
 func (m *Manager) Reachable(root rdf.Term) []rdf.Term {
 	g := m.View(root)
-	seen := map[rdf.Term]struct{}{}
+	out := make([]rdf.Term, 0, 2*g.Len()+1)
 	if root.IsResource() {
-		seen[root] = struct{}{}
+		out = append(out, root)
 	}
 	g.Each(func(t rdf.Triple) bool {
-		seen[t.Subject] = struct{}{}
+		out = append(out, t.Subject)
 		if t.Object.IsResource() {
-			seen[t.Object] = struct{}{}
+			out = append(out, t.Object)
 		}
 		return true
 	})
-	out := make([]rdf.Term, 0, len(seen))
-	for term := range seen {
-		out = append(out, term)
-	}
 	sortTerms(out)
-	return out
+	return slices.Compact(out)
 }
 
 // ReachesFrom reports whether target is reachable from root following
@@ -115,17 +108,21 @@ func (m *Manager) ReachesFrom(root, target rdf.Term) bool {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	visited := map[rdf.Term]struct{}{root: {}}
-	frontier := []rdf.Term{root}
+	id, want := m.st.lookup(root), m.st.lookup(target)
+	if id == noID || want == noID {
+		return false
+	}
+	visited := map[int32]struct{}{id: {}}
+	frontier := []int32{id}
 	for len(frontier) > 0 {
 		node := frontier[0]
 		frontier = frontier[1:]
-		for t := range m.bySubject[node] {
-			obj := t.Object
-			if obj == target {
+		for _, r := range m.st.dict[node].post[posS] {
+			obj := m.st.rows[r].ids[posO]
+			if obj == want {
 				return true
 			}
-			if !obj.IsResource() {
+			if !m.st.term(obj).IsResource() {
 				continue
 			}
 			if _, seen := visited[obj]; seen {
@@ -139,5 +136,11 @@ func (m *Manager) ReachesFrom(root, target rdf.Term) bool {
 }
 
 func sortTerms(ts []rdf.Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	slices.SortFunc(ts, rdf.Term.Compare)
+}
+
+// sortTriples puts triples in rdf.SortTriples order without the
+// reflection-based swapper and the allocations sort.Slice costs.
+func sortTriples(ts []rdf.Triple) {
+	slices.SortFunc(ts, rdf.Triple.Compare)
 }

@@ -23,15 +23,16 @@ GOFLAGS=-mod=mod GOPROXY=off go -C cmd/slimbench test ./...
 # error (exit code only — throughput numbers from CI machines are noise).
 go run ./cmd/slimload -duration 2s -goroutines 1,4 -out /dev/null > /dev/null
 
-# Gating space-accounting smoke (docs/OBSERVABILITY.md "Space accounting
-# & alloc probes"): the demo pad's store must produce valid space JSON
-# whose duplication ratio clears 1.1 — the -min-dup floor exits nonzero
-# if the accountant ever stops seeing the demo store's repeated strings.
+# Gating space-accounting smoke (docs/OBSERVABILITY.md "Space
+# accounting"): the demo pad's store must produce valid space JSON whose
+# duplication ratio clears 1.1 — the -min-dup floor exits nonzero if the
+# accountant ever stops seeing the demo store's repeated strings — and
+# that reports the interned layout's dictionary bytes.
 SPACE_DIR=$(mktemp -d)
 go run ./cmd/slimpad demo -out "$SPACE_DIR/rounds.xml" -patients 2 > /dev/null
 go run ./cmd/trimq -store "$SPACE_DIR/rounds.xml" -json -min-dup 1.1 space > "$SPACE_DIR/space.json"
 grep -q '"duplication_ratio"' "$SPACE_DIR/space.json"
-grep -q '"interning"' "$SPACE_DIR/space.json"
+grep -q '"dictionary_bytes"' "$SPACE_DIR/space.json"
 rm -rf "$SPACE_DIR"
 
 # Non-gating perf-trajectory lane (docs/OBSERVABILITY.md): record a
