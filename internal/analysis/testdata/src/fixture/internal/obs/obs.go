@@ -4,15 +4,20 @@
 // package shares via the registered path "fixture/internal/obs".
 package obs
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Span and StartCtx mirror the causal-tracing surface the tracectx
 // analyzer checks.
 type Span struct{}
 
-func (s *Span) Finish()                       {}
-func (s *Span) FinishErr(err error)           { _ = err }
-func (s *Span) Child(op, detail string) *Span { _, _ = op, detail; return &Span{} }
+func (s *Span) Finish()                              {}
+func (s *Span) FinishErr(err error)                  { _ = err }
+func (s *Span) FinishDur(d time.Duration, err error) { _, _ = d, err }
+func (s *Span) StartTime() time.Time                 { return time.Time{} }
+func (s *Span) Child(op, detail string) *Span        { _, _ = op, detail; return &Span{} }
 
 func StartCtx(ctx context.Context, op, detail string) (context.Context, *Span) {
 	_, _ = op, detail

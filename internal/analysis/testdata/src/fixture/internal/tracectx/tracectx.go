@@ -5,6 +5,7 @@ package tracectx
 
 import (
 	"context"
+	"time"
 
 	"fixture/internal/obs"
 )
@@ -22,6 +23,17 @@ func DeferClosure(ctx context.Context) (err error) {
 	ctx, sp := obs.StartCtx(ctx, "fixture.op", "")
 	defer func() { sp.FinishErr(err) }()
 	_ = ctx
+	return nil
+}
+
+// DeferFinishDur finishes with a duration the op measured from the span's
+// start, through a deferred func literal.
+func DeferFinishDur(ctx context.Context) (err error) {
+	ctx, sp := obs.StartCtx(ctx, "fixture.op", "")
+	var d time.Duration
+	defer func() { sp.FinishDur(d, err) }()
+	_ = ctx
+	d = time.Since(sp.StartTime())
 	return nil
 }
 
@@ -80,6 +92,16 @@ func PlainFinish(ctx context.Context) error {
 		return context.Canceled
 	}
 	sp.Finish()
+	return nil
+}
+
+// PlainFinishDur is PlainFinish with a caller-measured duration.
+func PlainFinishDur(ctx context.Context) error {
+	ctx, sp := obs.StartCtx(ctx, "fixture.op", "") // want `span sp is finished outside a defer; early returns skip the record`
+	if ctx == nil {
+		return context.Canceled
+	}
+	sp.FinishDur(time.Since(sp.StartTime()), nil)
 	return nil
 }
 

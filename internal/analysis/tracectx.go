@@ -16,7 +16,8 @@ import (
 //     `_`, or the call used as a bare statement).
 //  2. The span must be finished in a defer — `defer sp.Finish()`,
 //     `defer sp.FinishErr(err)`, or a deferred func literal that calls
-//     either — so early returns and panics record too. A span that
+//     one of Finish, FinishErr and FinishDur (which takes a duration the
+//     caller measured) — so early returns and panics record too. A span that
 //     escapes the function (returned, passed to a call, stored in a
 //     struct) is the caller's to finish and is exempt.
 //  3. A span finished only by a plain (non-deferred) call is reported:
@@ -38,6 +39,9 @@ func isStartCtxFunc(fn *types.Func) bool {
 	return fn != nil && fn.Name() == "StartCtx" &&
 		fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/obs")
 }
+
+// spanFinishers are the Span methods that finish (record) a span.
+var spanFinishers = map[string]bool{"Finish": true, "FinishErr": true, "FinishDur": true}
 
 // spanState tracks one span variable born from obs.StartCtx.
 type spanState struct {
@@ -117,11 +121,11 @@ func checkSpanLifecycles(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		}
 		return spans[info.Uses[id]]
 	}
-	// finishCall resolves a call like sp.Finish()/sp.FinishErr(err) to the
-	// span it finishes.
+	// finishCall resolves a call like sp.Finish(), sp.FinishErr(err) or
+	// sp.FinishDur(d, err) to the span it finishes.
 	finishCall := func(call *ast.CallExpr) *spanState {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Finish" && sel.Sel.Name != "FinishErr") {
+		if !ok || !spanFinishers[sel.Sel.Name] {
 			return nil
 		}
 		return lookup(sel.X)

@@ -54,14 +54,25 @@ func (lm *lockModeMetrics) acquired(waitNS int64) {
 	lm.wait.Observe(waitNS)
 }
 
+// monoBase anchors Nanotime. time.Since of a Time that carries a monotonic
+// reading reads only the monotonic clock, which costs about half what
+// time.Now (wall and monotonic) does.
+var monoBase = time.Now()
+
+// Nanotime returns nanoseconds on the monotonic clock, counted from when
+// the package was initialised. Durations that are never shown as a time of
+// day — lock waits and holds, an untraced op's latency — need only the
+// difference of two readings.
+func Nanotime() int64 { return int64(time.Since(monoBase)) }
+
 // TrackedMutex is a sync.Mutex recording wait-time and hold-time
 // histograms and contention counters under the given lock name. The zero
 // value is not usable; call NewTrackedMutex.
 type TrackedMutex struct {
 	mu sync.Mutex
 	w  lockModeMetrics
-	// acquiredNS is the holder's acquisition timestamp; only the goroutine
-	// holding mu touches it.
+	// acquiredNS is the holder's acquisition time (Nanotime); only the
+	// goroutine holding mu touches it.
 	acquiredNS int64
 }
 
@@ -78,16 +89,16 @@ func (m *TrackedMutex) Lock() {
 	if m.mu.TryLock() {
 		m.w.acquired(0)
 	} else {
-		start := time.Now()
+		start := Nanotime()
 		m.mu.Lock()
-		m.w.acquired(int64(time.Since(start)))
+		m.w.acquired(Nanotime() - start)
 	}
-	m.acquiredNS = time.Now().UnixNano()
+	m.acquiredNS = Nanotime()
 }
 
 // Unlock releases the mutex, recording the hold time.
 func (m *TrackedMutex) Unlock() {
-	m.w.hold.Observe(time.Now().UnixNano() - m.acquiredNS)
+	m.w.hold.Observe(Nanotime() - m.acquiredNS)
 	m.mu.Unlock()
 }
 
@@ -102,11 +113,11 @@ type TrackedRWMutex struct {
 	mu sync.RWMutex
 	w  lockModeMetrics
 	r  lockModeMetrics
-	// acquiredNS is the writer's acquisition timestamp; only the goroutine
-	// holding the write lock touches it.
+	// acquiredNS is the writer's acquisition time (Nanotime); only the
+	// goroutine holding the write lock touches it.
 	acquiredNS int64
-	// readers counts current read holders; readEpochNS is the timestamp at
-	// which the current read epoch began (readers went 0 -> 1).
+	// readers counts current read holders; readEpochNS is the time
+	// (Nanotime) at which the current read epoch began (readers went 0 -> 1).
 	readers     atomic.Int64
 	readEpochNS atomic.Int64
 }
@@ -127,16 +138,16 @@ func (m *TrackedRWMutex) Lock() {
 	if m.mu.TryLock() {
 		m.w.acquired(0)
 	} else {
-		start := time.Now()
+		start := Nanotime()
 		m.mu.Lock()
-		m.w.acquired(int64(time.Since(start)))
+		m.w.acquired(Nanotime() - start)
 	}
-	m.acquiredNS = time.Now().UnixNano()
+	m.acquiredNS = Nanotime()
 }
 
 // Unlock releases the write lock, recording the hold time.
 func (m *TrackedRWMutex) Unlock() {
-	m.w.hold.Observe(time.Now().UnixNano() - m.acquiredNS)
+	m.w.hold.Observe(Nanotime() - m.acquiredNS)
 	m.mu.Unlock()
 }
 
@@ -153,17 +164,17 @@ func (m *TrackedRWMutex) RLock() {
 	if m.mu.TryRLock() {
 		m.r.acquired(0)
 	} else {
-		start := time.Now()
+		start := Nanotime()
 		for !m.mu.TryRLock() {
-			if time.Since(start) >= readSpin {
+			if Nanotime()-start >= int64(readSpin) {
 				m.mu.RLock()
 				break
 			}
 		}
-		m.r.acquired(int64(time.Since(start)))
+		m.r.acquired(Nanotime() - start)
 	}
 	if m.readers.Add(1) == 1 {
-		m.readEpochNS.Store(time.Now().UnixNano())
+		m.readEpochNS.Store(Nanotime())
 	}
 }
 
@@ -171,7 +182,7 @@ func (m *TrackedRWMutex) RLock() {
 // epoch's duration is recorded as the read hold time.
 func (m *TrackedRWMutex) RUnlock() {
 	if m.readers.Add(-1) == 0 {
-		m.r.hold.Observe(time.Now().UnixNano() - m.readEpochNS.Load())
+		m.r.hold.Observe(Nanotime() - m.readEpochNS.Load())
 	}
 	m.mu.RUnlock()
 }

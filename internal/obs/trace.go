@@ -254,9 +254,9 @@ func (tr *Tracer) sample() bool {
 
 // Span is an in-flight operation. Spans are not goroutine-safe; a span
 // belongs to the goroutine that started it (propagate identity to other
-// goroutines via ContextWithSpan and start children there). A nil *Span is
-// valid and all its methods no-op, so disabled tracing costs nothing at
-// call sites.
+// goroutines through the context StartCtx returned, or ContextWithSpan,
+// and start children there). A nil *Span is valid and all its methods
+// no-op, so disabled tracing costs nothing at call sites.
 type Span struct {
 	tr      *Tracer
 	op      string
@@ -267,6 +267,12 @@ type Span struct {
 	id      SpanID
 	parent  SpanID
 	sampled bool
+	// skipJournal is set by SkipJournal: the op wrote its own slow-op
+	// entry, so finishing the span writes none.
+	skipJournal bool
+	// ctx is the context StartCtx hands out with the span (tracectx.go).
+	// Holding it here makes a span and its context one allocation.
+	ctx spanCtx
 }
 
 // Start begins a root span, minting a fresh TraceID. Returns nil when the
@@ -334,6 +340,27 @@ func (s *Span) SetDetail(detail string) {
 	}
 }
 
+// StartTime returns when the span started. A nil span returns the
+// current time, so an op can time itself from StartTime whether or not it
+// is traced, and its latency histogram and its span then share one start
+// read of the clock.
+func (s *Span) StartTime() time.Time {
+	if s == nil {
+		return time.Now()
+	}
+	return s.start
+}
+
+// SkipJournal keeps the span out of the slow-op journal, for an op that
+// journaled itself with a fuller detail (a TRIM query writes its EXPLAIN
+// line), so one slow op makes one entry. Call before finishing, from the
+// owning goroutine.
+func (s *Span) SkipJournal() {
+	if s != nil {
+		s.skipJournal = true
+	}
+}
+
 // Finish records the span into the ring buffer.
 func (s *Span) Finish() { s.FinishErr(nil) }
 
@@ -346,7 +373,16 @@ func (s *Span) FinishErr(err error) {
 	if s == nil {
 		return
 	}
-	dur := time.Since(s.start)
+	s.FinishDur(time.Since(s.start), err)
+}
+
+// FinishDur is FinishErr with a duration the caller already measured from
+// StartTime, for an op that observes its own latency: the op and its span
+// then share one end read of the clock.
+func (s *Span) FinishDur(dur time.Duration, err error) {
+	if s == nil {
+		return
+	}
 	if s.sampled || err != nil {
 		rec := OpRecord{
 			Trace:  s.trace,
@@ -363,7 +399,9 @@ func (s *Span) FinishErr(err error) {
 		}
 		s.tr.record(rec)
 	}
-	DefaultSlowOps.Observe(s.op, s.detail, s.start, dur, err)
+	if !s.skipJournal {
+		DefaultSlowOps.Observe(s.op, s.detail, s.start, dur, err)
+	}
 }
 
 func (tr *Tracer) record(rec OpRecord) {

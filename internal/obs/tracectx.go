@@ -12,6 +12,26 @@ import "context"
 // spanCtxKey is the private context key for the current span.
 type spanCtxKey struct{}
 
+// spanCtx is the context StartCtx returns: the caller's context with one
+// more value, the new span. It lives inside its span, so starting a span
+// under a context allocates once, and SpanFromContext finds the span
+// without walking the chain. Deadline, Done and Err are the parent's, and
+// every other value resolves in the parent, as with context.WithValue.
+// Its fields are set before StartCtx returns and never change, so any
+// number of goroutines may use it.
+type spanCtx struct {
+	context.Context
+	span *Span
+}
+
+// Value returns the span for the span key and asks the parent otherwise.
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(spanCtxKey); ok {
+		return c.span
+	}
+	return c.Context.Value(key)
+}
+
 // ContextWithSpan returns a context carrying s as the current span. A nil
 // ctx is treated as context.Background(), so plain (non-Ctx) entry points
 // can delegate to their Ctx variants with nil. A nil span is stored as-is;
@@ -25,8 +45,11 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 
 // SpanFromContext returns the current span carried by ctx, or nil.
 func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
+	switch c := ctx.(type) {
+	case nil:
 		return nil
+	case *spanCtx:
+		return c.span
 	}
 	s, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return s
@@ -61,5 +84,9 @@ func (tr *Tracer) StartCtx(ctx context.Context, op, detail string) (context.Cont
 	} else {
 		s = tr.root(op, detail)
 	}
-	return ContextWithSpan(ctx, s), s
+	if s == nil { // the tracer was disabled since the check above
+		return ctx, nil
+	}
+	s.ctx = spanCtx{Context: ctx, span: s}
+	return &s.ctx, s
 }

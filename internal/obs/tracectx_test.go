@@ -1,0 +1,150 @@
+package obs
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+)
+
+type ctxTestKey string
+
+// TestSpanContextIsAContext: the context StartCtx returns is held inside
+// its span, and still behaves as the parent context with one more value.
+func TestSpanContextIsAContext(t *testing.T) {
+	tr := NewTracer(64)
+	deadline := time.Now().Add(time.Hour)
+	base, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	above := context.WithValue(base, ctxTestKey("above"), "a")
+
+	outerCtx, outer := tr.StartCtx(above, "test.outer", "")
+	below := context.WithValue(outerCtx, ctxTestKey("below"), "b")
+	innerCtx, inner := tr.StartCtx(below, "test.inner", "")
+	defer outer.Finish()
+	defer inner.Finish()
+
+	if got := SpanFromContext(outerCtx); got != outer {
+		t.Errorf("SpanFromContext(outer ctx) = %p, want the outer span %p", got, outer)
+	}
+	if got := SpanFromContext(below); got != outer {
+		t.Errorf("SpanFromContext through a WithValue = %p, want the outer span %p", got, outer)
+	}
+	if got := SpanFromContext(innerCtx); got != inner {
+		t.Errorf("SpanFromContext(inner ctx) = %p, want the innermost span %p", got, inner)
+	}
+	if inner.parent != outer.id || inner.trace != outer.trace {
+		t.Errorf("inner span is not the outer span's child: parent %v trace %v", inner.parent, inner.trace)
+	}
+	if got := SpanFromContext(ContextWithSpan(innerCtx, nil)); got != nil {
+		t.Errorf("ContextWithSpan(ctx, nil) should hide the span, got %p", got)
+	}
+
+	for _, c := range []struct {
+		key  ctxTestKey
+		want any
+	}{{"above", "a"}, {"below", "b"}, {"absent", nil}} {
+		if got := innerCtx.Value(c.key); got != c.want {
+			t.Errorf("inner ctx Value(%q) = %v, want %v", c.key, got, c.want)
+		}
+	}
+	if got, ok := innerCtx.Deadline(); !ok || !got.Equal(deadline) {
+		t.Errorf("Deadline = %v, %v; want the parent's %v", got, ok, deadline)
+	}
+	if innerCtx.Done() != base.Done() || innerCtx.Err() != nil {
+		t.Errorf("Done/Err are not the parent's: %v", innerCtx.Err())
+	}
+
+	child, stop := context.WithCancel(innerCtx)
+	defer stop()
+	cancel()
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a WithCancel child of a span context was not cancelled with its ancestor")
+	}
+	if !errors.Is(child.Err(), context.Canceled) || !errors.Is(innerCtx.Err(), context.Canceled) {
+		t.Errorf("after cancel: child Err %v, span ctx Err %v; want context.Canceled", child.Err(), innerCtx.Err())
+	}
+}
+
+// TestSpanContextSharedAcrossGoroutines: many goroutines start children
+// from one span context at once. Run it under -race.
+func TestSpanContextSharedAcrossGoroutines(t *testing.T) {
+	const workers, each = 8, 50
+	tr := NewTracer(workers * each)
+	ctx, root := tr.StartCtx(context.Background(), "test.root", "")
+	defer root.Finish()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				cctx, sp := tr.StartCtx(ctx, "test.child", "")
+				if SpanFromContext(cctx) != sp {
+					t.Error("child context does not carry its own span")
+				}
+				sp.FinishDur(time.Since(sp.StartTime()), nil)
+			}
+		}()
+	}
+	wg.Wait()
+	recs := tr.Recent()
+	if len(recs) != workers*each {
+		t.Fatalf("ring holds %d spans, want %d", len(recs), workers*each)
+	}
+	for _, r := range recs {
+		if r.Parent != root.SpanID() || r.Trace != root.TraceID() || r.Depth != 1 {
+			t.Fatalf("child %+v is not a direct child of the root", r)
+		}
+	}
+}
+
+// TestFinishDurRecordsCallerDuration: FinishDur records the duration it is
+// given, and SkipJournal keeps a slow span out of the slow-op journal.
+func TestFinishDurRecordsCallerDuration(t *testing.T) {
+	tr := NewTracer(8)
+	prev := DefaultSlowOps.Threshold()
+	DefaultSlowOps.SetThreshold(time.Nanosecond)
+	defer func() {
+		DefaultSlowOps.SetThreshold(prev)
+		DefaultSlowOps.Reset()
+	}()
+	DefaultSlowOps.Reset()
+
+	_, sp := tr.StartCtx(nil, "test.timed", "")
+	sp.FinishDur(42*time.Millisecond, nil)
+	_, quiet := tr.StartCtx(nil, "test.quiet", "")
+	quiet.SkipJournal()
+	quiet.FinishDur(time.Millisecond, nil)
+
+	recs := tr.Recent()
+	if len(recs) != 2 || recs[0].Dur != 42*time.Millisecond || !recs[0].Start.Equal(sp.StartTime()) {
+		t.Fatalf("ring = %+v, want test.timed with its caller's 42ms first", recs)
+	}
+	slow := DefaultSlowOps.Recent()
+	if len(slow) != 1 || slow[0].Op != "test.timed" || slow[0].DurNS != int64(42*time.Millisecond) {
+		t.Fatalf("journal = %+v, want only test.timed at 42ms", slow)
+	}
+	var none *Span
+	if none.StartTime().IsZero() {
+		t.Error("a nil span's StartTime should be the current time")
+	}
+}
+
+// TestStartCtxAllocatesOnce: a span and the context it hands out are one
+// allocation.
+func TestStartCtxAllocatesOnce(t *testing.T) {
+	tr := NewTracer(8)
+	ctx, root := tr.StartCtx(context.Background(), "test.root", "")
+	defer root.Finish()
+	got := testing.AllocsPerRun(100, func() {
+		_, sp := tr.StartCtx(ctx, "test.child", "")
+		sp.Finish()
+	})
+	if got != 1 {
+		t.Errorf("StartCtx and Finish allocate %v times, want 1", got)
+	}
+}

@@ -59,7 +59,8 @@ func (k *dmiOpKind) resolve() {
 }
 
 // dmiOp is an in-flight DMI operation; start with startOpCtx, finish with
-// done.
+// done. Its latency is timed from its span's start, so the histogram and
+// the span share one start and one end read of the clock.
 type dmiOp struct {
 	kind  *dmiOpKind
 	start time.Time
@@ -73,13 +74,14 @@ type dmiOp struct {
 func startOpCtx(ctx context.Context, kind *dmiOpKind, detail string) (context.Context, dmiOp) {
 	kind.resolve()
 	ctx, span := obs.StartCtx(ctx, kind.span, detail)
-	return ctx, dmiOp{kind: kind, start: time.Now(), span: span}
+	return ctx, dmiOp{kind: kind, start: span.StartTime(), span: span}
 }
 
 // done records the operation. triples is the number of triples the op
 // touched (read or wrote); pass 0 when the op failed before touching any.
 func (o dmiOp) done(triples int, err error) {
-	o.kind.ns.ObserveSince(o.start)
+	d := time.Since(o.start)
+	o.kind.ns.Observe(int64(d))
 	o.kind.total.Inc()
 	if err != nil {
 		obs.C(fmt.Sprintf(obs.FmtSlimDmiErrors, o.kind.op)).Inc()
@@ -88,5 +90,5 @@ func (o dmiOp) done(triples int, err error) {
 		mTriplesTouched.Add(int64(triples))
 		mTriplesPerOp.Observe(int64(triples))
 	}
-	o.span.FinishErr(err)
+	o.span.FinishDur(d, err)
 }

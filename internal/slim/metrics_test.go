@@ -48,3 +48,31 @@ func TestDMIOpMetrics(t *testing.T) {
 		t.Errorf("no dmi.create span for %s in the trace ring", b.ID.Value())
 	}
 }
+
+// TestDMIGetAllocations guards a DMI read's allocation count. Of the 10,
+// the instrumentation's share is the two spans (the op's and its TRIM
+// select's); the rest is the select's result and the Object built from
+// it. It was 17, when each span took a second allocation for its context,
+// a select built its shape key and span detail, and a result grew from
+// nil.
+func TestDMIGetAllocations(t *testing.T) {
+	d := newBundleScrapDMI(t)
+	obj, err := d.Create(metamodel.ConstructBundle, map[string]any{
+		metamodel.ConnBundleName:   "b",
+		metamodel.ConnBundlePos:    "1,2",
+		metamodel.ConnBundleWidth:  100,
+		metamodel.ConnBundleHeight: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 10
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := d.Get(obj.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Errorf("DMI Get allocates %v times, want at most %d", got, want)
+	}
+}

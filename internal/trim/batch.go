@@ -2,8 +2,8 @@ package trim
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -76,12 +76,18 @@ func (b *Batch) Len() int {
 // run before creates so a batch can replace a property value. On any error
 // every already-applied operation is rolled back and the store is unchanged.
 func (b *Batch) Apply() error {
+	return b.apply(nil)
+}
+
+// apply is Apply traced by sp (nil for none), which it finishes.
+func (b *Batch) apply(sp *obs.Span) error {
 	if b.done {
-		return fmt.Errorf("trim: batch already finished")
+		err := fmt.Errorf("trim: batch already finished")
+		sp.FinishErr(err)
+		return err
 	}
 	b.done = true
-	start := time.Now()
-	defer mBatchNS.ObserveSince(start)
+	c := startClock(sp)
 	mBatchTotal.Inc()
 	mBatchOps.Observe(int64(b.Len()))
 
@@ -94,6 +100,9 @@ func (b *Batch) Apply() error {
 	events, targets := m.drainLocked()
 	m.mu.Unlock()
 	m.deliver(targets, events)
+	d := c.elapsed()
+	mBatchNS.Observe(int64(d))
+	sp.FinishDur(d, err)
 	return err
 }
 

@@ -2,6 +2,7 @@ package trim
 
 import (
 	"sort"
+	"sync/atomic"
 )
 
 // Per-predicate cardinality statistics, maintained incrementally by the
@@ -11,11 +12,14 @@ import (
 // store-wide, and feed the EXPLAIN estimated-selectivity line.
 
 // predCard tracks one predicate's live cardinality. The subject/object
-// maps refcount triples per term id so removals decrement exactly.
+// maps refcount triples per term id so removals decrement exactly. shapes
+// caches the predicate's select shape keys (shapes.go); it stays nil until
+// the predicate's first select.
 type predCard struct {
 	triples  int
 	subjects map[int32]int32
 	objects  map[int32]int32
+	shapes   atomic.Pointer[predShapes]
 }
 
 // cardAdd records a newly stored triple.
@@ -81,20 +85,20 @@ func (m *Manager) predicateStatsLocked() []PredicateStats {
 
 // estimate is the planner's cardinality estimate for a resolved pattern:
 // expected result rows and their fraction of the store. A bound predicate
-// uses the exact per-predicate stats (triples, scaled down by the mean
-// triples-per-subject/object when those positions are bound too); an
-// unbound predicate falls back to the exact posting-list sizes the
-// planner already consults. The estimate is exact for single-position
-// patterns and a uniformity assumption beyond that.
-func (s *store) estimate(q idPattern) (rows int, selectivity float64) {
+// uses the exact per-predicate stats pc (nil when the store holds no
+// triple with it), scaled down by the mean triples-per-subject/object when
+// those positions are bound too; an unbound predicate falls back to the
+// exact posting-list sizes the planner already consults. The estimate is
+// exact for single-position patterns and a uniformity assumption beyond
+// that.
+func (s *store) estimate(q idPattern, pc *predCard) (rows int, selectivity float64) {
 	size := len(s.rows)
 	if size == 0 {
 		return 0, 0
 	}
 	est := size
 	if q[posP] != anyID {
-		pc, ok := s.predCards[q[posP]]
-		if !ok {
+		if pc == nil {
 			return 0, 0
 		}
 		est = pc.triples

@@ -73,15 +73,6 @@ func (c indexChoice) String() string {
 	}
 }
 
-// journal feeds the slow-op journal; the EXPLAIN line is built only when
-// the query actually exceeded the threshold, keeping fast queries free of
-// the formatting cost.
-func (e Explain) journal(start time.Time) {
-	if obs.DefaultSlowOps.Slow(e.Wall()) {
-		obs.DefaultSlowOps.Observe("trim."+e.Op, e.String(), start, e.Wall(), nil)
-	}
-}
-
 // explainLocked starts an execution report with the store-wide fields.
 func (m *Manager) explainLocked(op string, index indexChoice) Explain {
 	return Explain{
@@ -96,74 +87,50 @@ func (m *Manager) explainLocked(op string, index indexChoice) Explain {
 // selectExplainLocked is the single implementation behind Select,
 // SelectFiltered and SelectExplain: it runs the planner, scans, keeps the
 // matches keep accepts (all of them when keep is nil), and fills every
-// Explain field except Query and WallNS (the caller owns those). Only the
-// matching rows become rdf.Triple values.
-func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool) ([]rdf.Triple, Explain) {
+// Explain field except Query and WallNS (the caller owns those). It also
+// returns the query's shape key for the heavy-hitter sketch (shapes.go).
+// Only the matching rows become rdf.Triple values.
+func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool) ([]rdf.Triple, Explain, string) {
 	q, list, choice := m.st.plan(p)
 	choice.count()
 	e := m.explainLocked("select", choice)
-	e.EstRows, e.EstSelectivity = m.st.estimate(q)
-	var out []rdf.Triple
-	emit := func(r int32) {
-		if t := m.st.triple(r); keep == nil || keep(t) {
-			out = append(out, t)
-		}
+	var pc *predCard // the bound predicate's statistics, nil when unbound or absent
+	if q[posP] >= 0 {
+		pc = m.st.predCards[q[posP]]
 	}
+	e.EstRows, e.EstSelectivity = m.st.estimate(q, pc)
+	e.Candidates = len(list)
 	if choice == indexNone {
 		e.Candidates = len(m.st.rows)
-		for r := range m.st.rows {
-			emit(int32(r))
-		}
-	} else {
-		e.Candidates = len(list)
-		for _, r := range list {
-			if q.matches(m.st.rows[r].ids) {
-				emit(r)
-			}
-		}
 	}
-	sortTriples(out)
+	out := m.st.collect(q, list, choice, keep)
 	e.Matched = len(out)
-	return out, e
+	return out, e, selectShape(p, choice, pc)
 }
 
 // SelectExplain is Select plus an execution report. It records the same
 // metrics as Select and journals slow queries with their EXPLAIN line.
 func (m *Manager) SelectExplain(p rdf.Pattern) ([]rdf.Triple, Explain) {
-	start := time.Now()
-	m.mu.RLock()
-	out, e := m.selectExplainLocked(p, nil)
-	m.mu.RUnlock()
-	e.Query = p.String()
-	e.WallNS = int64(time.Since(start))
-	mSelectNS.Observe(e.WallNS)
-	mSelectTotal.Inc()
-	recordSelectShape(p, e.Index)
-	e.journal(start)
-	return out, e
+	return m.selectQuery(nil, p, nil, true)
 }
 
 // ViewExplain is View plus an execution report: Candidates counts the
 // edges examined during the reachability walk, Matched the triples in the
 // resulting view.
 func (m *Manager) ViewExplain(root rdf.Term) (*rdf.Graph, Explain) {
-	start := time.Now()
-	m.mu.RLock()
-	out, e := m.viewExplainLocked(root, nil)
-	m.mu.RUnlock()
-	e.Query = root.String()
-	e.WallNS = int64(time.Since(start))
-	mViewNS.Observe(e.WallNS)
-	mViewTotal.Inc()
-	recordViewShape()
-	e.journal(start)
-	return out, e
+	return m.viewQuery(nil, root, nil, true)
 }
 
 // PathExplain is Path plus an execution report: Candidates counts the
 // edges examined across every hop, Matched the terms reached at the end.
 func (m *Manager) PathExplain(start []rdf.Term, predicates ...rdf.Term) ([]rdf.Term, Explain) {
-	began := time.Now()
+	return m.pathExplain(nil, start, predicates)
+}
+
+// pathExplain is PathExplain traced by sp (nil for none), which it
+// finishes.
+func (m *Manager) pathExplain(sp *obs.Span, start, predicates []rdf.Term) ([]rdf.Term, Explain) {
+	c := startClock(sp)
 	m.mu.RLock()
 	out, e := m.pathLocked(start, predicates, false)
 	m.mu.RUnlock()
@@ -178,8 +145,8 @@ func (m *Manager) PathExplain(start []rdf.Term, predicates ...rdf.Term) ([]rdf.T
 		q += p.String()
 	}
 	e.Query = q
-	e.WallNS = int64(time.Since(began))
+	e.WallNS = int64(c.elapsed())
 	recordPathShape(predicates, false)
-	e.journal(began)
+	c.finishQuery(sp, &e, true)
 	return out, e
 }

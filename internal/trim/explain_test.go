@@ -1,6 +1,7 @@
 package trim
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -198,5 +199,53 @@ func TestExplainCountsWALObserver(t *testing.T) {
 	}
 	if _, e := m.PathExplain([]rdf.Term{root}, rdf.IRI("http://t/has")); e.Observers != 1 {
 		t.Errorf("PathExplain Observers = %d, want 1", e.Observers)
+	}
+}
+
+// TestCtxQueriesJournalOnce: a slow query through a Ctx entry point makes
+// one slow-op entry, carrying its EXPLAIN line, not a second one from its
+// span.
+func TestCtxQueriesJournalOnce(t *testing.T) {
+	prev := obs.DefaultSlowOps.Threshold()
+	obs.DefaultSlowOps.SetThreshold(time.Nanosecond)
+	defer func() {
+		obs.DefaultSlowOps.SetThreshold(prev)
+		obs.DefaultSlowOps.Reset()
+	}()
+
+	m := NewManager()
+	populate(m, 50)
+	for _, x := range []rdf.Triple{link("root", "has", "a"), link("a", "next", "b")} {
+		if _, err := m.Create(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := rdf.IRI("http://t/root")
+	ctx, parent := obs.StartCtx(context.Background(), "test.parent", "")
+	defer parent.Finish()
+
+	cases := []struct {
+		name, op, explain string
+		run               func()
+	}{
+		{"SelectCtx", "trim.select", "op=select", func() { m.SelectCtx(ctx, rdf.P(root, rdf.Zero, rdf.Zero)) }},
+		{"SelectExplainCtx", "trim.select", "op=select", func() { m.SelectExplainCtx(ctx, rdf.P(root, rdf.Zero, rdf.Zero)) }},
+		{"ViewCtx", "trim.view", "op=view", func() { m.ViewCtx(ctx, root) }},
+		{"ViewExplainCtx", "trim.view", "op=view", func() { m.ViewExplainCtx(ctx, root) }},
+		{"PathExplainCtx", "trim.path", "op=path", func() {
+			m.PathExplainCtx(ctx, []rdf.Term{root}, rdf.IRI("http://t/has"), rdf.IRI("http://t/next"))
+		}},
+	}
+	for _, c := range cases {
+		obs.DefaultSlowOps.Reset()
+		c.run()
+		recs := obs.DefaultSlowOps.Recent()
+		if len(recs) != 1 {
+			t.Errorf("%s journaled %d entries, want 1: %+v", c.name, len(recs), recs)
+			continue
+		}
+		if recs[0].Op != c.op || !strings.HasPrefix(recs[0].Detail, c.explain+" ") {
+			t.Errorf("%s journaled %s %q, want %s with its EXPLAIN line", c.name, recs[0].Op, recs[0].Detail, c.op)
+		}
 	}
 }

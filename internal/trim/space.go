@@ -197,7 +197,9 @@ func (m *Manager) spaceLocked() SpaceStats {
 	}
 	s.CardOverheadBytes = mapBytes(len(st.predCards), idBytes+wordBytes)
 	for _, pc := range st.predCards {
-		s.CardOverheadBytes += 3 * wordBytes // predCard struct: int + 2 map pointers
+		// predCard struct: int, 2 map pointers, and the shape-table pointer
+		// (the table itself is the query profiler's, not the store's).
+		s.CardOverheadBytes += 4 * wordBytes
 		s.CardOverheadBytes += mapBytes(len(pc.subjects), 2*idBytes)
 		s.CardOverheadBytes += mapBytes(len(pc.objects), 2*idBytes)
 	}

@@ -213,3 +213,43 @@ func (s *store) plan(p rdf.Pattern) (idPattern, []int32, indexChoice) {
 	consider(posP, p.Predicate, indexPredicate)
 	return q, best, choice
 }
+
+// collect materializes the rows a plan selected that match q and that keep
+// accepts (every match when keep is nil), sorted. Without a filter it
+// counts the matches first, so the result is allocated once, at its size.
+func (s *store) collect(q idPattern, list []int32, choice indexChoice, keep func(rdf.Triple) bool) []rdf.Triple {
+	var out []rdf.Triple
+	if keep == nil {
+		n := len(s.rows) // a scan matches every row
+		if choice != indexNone {
+			n = 0
+			for _, r := range list {
+				if q.matches(s.rows[r].ids) {
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		out = make([]rdf.Triple, 0, n)
+	}
+	emit := func(r int32) {
+		if t := s.triple(r); keep == nil || keep(t) {
+			out = append(out, t)
+		}
+	}
+	if choice == indexNone {
+		for r := range s.rows {
+			emit(int32(r))
+		}
+	} else {
+		for _, r := range list {
+			if q.matches(s.rows[r].ids) {
+				emit(r)
+			}
+		}
+	}
+	sortTriples(out)
+	return out
+}

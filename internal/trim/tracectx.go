@@ -3,40 +3,100 @@ package trim
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
 // Context-carrying variants of the TRIM entry points. Each one starts a
-// child span off the caller's trace (obs.StartCtx) and delegates to the
-// plain method, so a DMI op's trace tree reaches down into the store layer
-// and records exactly which selects, creates, and batch applies one user
-// gesture fanned out into. TRIM is the bottom of the stack: nothing below
-// it takes a context, so the ctx stops here and only the span matters.
+// child span off the caller's trace (obs.StartCtx) and runs the same
+// implementation as the plain method, so a DMI op's trace tree reaches
+// down into the store layer and records exactly which selects, creates,
+// and batch applies one user gesture fanned out into. TRIM is the bottom
+// of the stack: nothing below it takes a context, so the ctx stops here
+// and only the span matters.
 
-// patShape renders a pattern's bound/wildcard mask ("s??", "?po", ...):
-// enough to see the index choice a select had available, cheap enough for
-// span detail on the hot path.
-func patShape(p rdf.Pattern) string {
-	buf := [3]byte{'?', '?', '?'}
+// Bound-position bits of a pattern's mask.
+const (
+	maskS = 1 << iota
+	maskP
+	maskO
+)
+
+// maskNames renders each mask ("s??", "?po", ...): enough to see the index
+// choice a select had available, and constant, so span details and shape
+// keys cost nothing to build.
+var maskNames = [8]string{"???", "s??", "?p?", "sp?", "??o", "s?o", "?po", "spo"}
+
+// patMask returns the pattern's bound-position mask.
+func patMask(p rdf.Pattern) int {
+	mask := 0
 	if !p.Subject.IsZero() {
-		buf[0] = 's'
+		mask |= maskS
 	}
 	if !p.Predicate.IsZero() {
-		buf[1] = 'p'
+		mask |= maskP
 	}
 	if !p.Object.IsZero() {
-		buf[2] = 'o'
+		mask |= maskO
 	}
-	return string(buf[:])
+	return mask
+}
+
+// patShape renders a pattern's bound/wildcard mask.
+func patShape(p rdf.Pattern) string { return maskNames[patMask(p)] }
+
+// clock times one TRIM op on the clock reads its instrumentation makes
+// anyway. A traced op times from its span's start, so the op's latency
+// histogram and its span share one start and one end read; an untraced op
+// reads only the monotonic clock. Either reads the wall clock only when a
+// slow op is journaled.
+type clock struct {
+	start time.Time // the span's start; zero for an untraced op
+	mono  int64     // an untraced op's start (obs.Nanotime)
+}
+
+// startClock starts timing an op traced by sp, or untraced when sp is nil.
+func startClock(sp *obs.Span) clock {
+	if sp == nil {
+		return clock{mono: obs.Nanotime()}
+	}
+	return clock{start: sp.StartTime()}
+}
+
+// elapsed returns the time since the op started.
+func (c clock) elapsed() time.Duration {
+	if c.start.IsZero() {
+		return time.Duration(obs.Nanotime() - c.mono)
+	}
+	return time.Since(c.start)
+}
+
+// finishQuery ends a query whose report e is complete. An explained
+// query's span carries the EXPLAIN line as detail. A slow query is
+// journaled once, with its EXPLAIN line, not a second time by its span.
+// The span finishes with the query's wall time.
+func (c clock) finishQuery(sp *obs.Span, e *Explain, explain bool) {
+	if explain && sp != nil {
+		sp.SetDetail(e.String())
+	}
+	d := time.Duration(e.WallNS)
+	if obs.DefaultSlowOps.Slow(d) {
+		start := c.start
+		if start.IsZero() {
+			start = time.Now().Add(-d)
+		}
+		obs.DefaultSlowOps.Observe("trim."+e.Op, e.String(), start, d, nil)
+		sp.SkipJournal()
+	}
+	sp.FinishDur(d, nil)
 }
 
 // CreateCtx is Create with the caller's trace attached.
 func (m *Manager) CreateCtx(ctx context.Context, t rdf.Triple) (created bool, err error) {
 	_, sp := obs.StartCtx(ctx, "trim.create", "")
-	defer func() { sp.FinishErr(err) }()
-	return m.Create(t)
+	return m.create(sp, t)
 }
 
 // RemoveCtx is Remove with the caller's trace attached.
@@ -56,51 +116,41 @@ func (m *Manager) RemoveMatchingCtx(ctx context.Context, p rdf.Pattern) int {
 // SelectCtx is Select with the caller's trace attached.
 func (m *Manager) SelectCtx(ctx context.Context, p rdf.Pattern) []rdf.Triple {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	defer sp.Finish()
-	return m.Select(p)
+	out, _ := m.selectQuery(sp, p, nil, false)
+	return out
 }
 
 // ViewCtx is View with the caller's trace attached.
 func (m *Manager) ViewCtx(ctx context.Context, root rdf.Term) *rdf.Graph {
 	_, sp := obs.StartCtx(ctx, "trim.view", root.String())
-	defer sp.Finish()
-	return m.View(root)
+	g, _ := m.viewQuery(sp, root, nil, false)
+	return g
 }
 
 // SelectExplainCtx is SelectExplain with the caller's trace attached; the
 // plan line becomes the span detail once the query has run.
 func (m *Manager) SelectExplainCtx(ctx context.Context, p rdf.Pattern) ([]rdf.Triple, Explain) {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	defer sp.Finish()
-	ts, e := m.SelectExplain(p)
-	sp.SetDetail(e.String())
-	return ts, e
+	return m.selectQuery(sp, p, nil, true)
 }
 
 // ViewExplainCtx is ViewExplain with the caller's trace attached; the plan
 // line becomes the span detail.
 func (m *Manager) ViewExplainCtx(ctx context.Context, root rdf.Term) (*rdf.Graph, Explain) {
 	_, sp := obs.StartCtx(ctx, "trim.view", root.String())
-	defer sp.Finish()
-	g, e := m.ViewExplain(root)
-	sp.SetDetail(e.String())
-	return g, e
+	return m.viewQuery(sp, root, nil, true)
 }
 
 // PathExplainCtx is PathExplain with the caller's trace attached; the plan
 // line becomes the span detail.
 func (m *Manager) PathExplainCtx(ctx context.Context, start []rdf.Term, predicates ...rdf.Term) ([]rdf.Term, Explain) {
 	_, sp := obs.StartCtx(ctx, "trim.path", fmt.Sprintf("start=%d hops=%d", len(start), len(predicates)))
-	defer sp.Finish()
-	ts, e := m.PathExplain(start, predicates...)
-	sp.SetDetail(e.String())
-	return ts, e
+	return m.pathExplain(sp, start, predicates)
 }
 
 // ApplyCtx is Apply with the caller's trace attached: the whole atomic
 // batch becomes one span carrying its op count.
-func (b *Batch) ApplyCtx(ctx context.Context) (err error) {
+func (b *Batch) ApplyCtx(ctx context.Context) error {
 	_, sp := obs.StartCtx(ctx, "trim.batch.apply", fmt.Sprintf("ops=%d", b.Len()))
-	defer func() { sp.FinishErr(err) }()
-	return b.Apply()
+	return b.apply(sp)
 }

@@ -74,13 +74,19 @@ func NewManager() *Manager {
 // a triple already present is a no-op returning false, matching the set
 // semantics of the underlying graph.
 func (m *Manager) Create(t rdf.Triple) (bool, error) {
-	start := time.Now()
+	return m.create(nil, t)
+}
+
+// create is Create traced by sp (nil for none), which it finishes.
+func (m *Manager) create(sp *obs.Span, t rdf.Triple) (bool, error) {
+	c := startClock(sp)
 	m.mu.Lock()
 	added, err := m.createLocked(t)
 	events, targets := m.drainLocked()
 	m.mu.Unlock()
 	m.deliver(targets, events)
-	mCreateNS.ObserveSince(start)
+	d := c.elapsed()
+	mCreateNS.Observe(int64(d))
 	mCreateTotal.Inc()
 	switch {
 	case err != nil:
@@ -88,6 +94,7 @@ func (m *Manager) Create(t rdf.Triple) (bool, error) {
 	case added:
 		mCreateNew.Inc()
 	}
+	sp.FinishDur(d, err)
 	return added, err
 }
 
@@ -188,26 +195,36 @@ func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 // explains and journals as one select. keep runs under the store's read
 // lock and must not call back into the Manager.
 func (m *Manager) SelectFiltered(p rdf.Pattern, keep func(rdf.Triple) bool) []rdf.Triple {
-	start := time.Now()
-	m.mu.RLock()
-	out, e := m.selectExplainLocked(p, keep)
-	m.mu.RUnlock()
-	d := time.Since(start)
-	mSelectNS.Observe(int64(d))
-	mSelectTotal.Inc()
-	recordSelectShape(p, e.Index)
-	if obs.DefaultSlowOps.Slow(d) {
-		e.Query = p.String()
-		e.WallNS = int64(d)
-		e.journal(start)
-	}
+	out, _ := m.selectQuery(nil, p, keep, false)
 	return out
 }
 
-// selectLocked runs a selection under a held lock, discarding the explain.
+// selectQuery is every select entry point: the query under the read lock,
+// its latency, count and shape, and its span (nil for none), which it
+// finishes. The report's Query is filled when explain asks for it or the
+// query was slow.
+func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple) bool, explain bool) ([]rdf.Triple, Explain) {
+	c := startClock(sp)
+	m.mu.RLock()
+	out, e, shape := m.selectExplainLocked(p, keep)
+	m.mu.RUnlock()
+	d := c.elapsed()
+	mSelectNS.Observe(int64(d))
+	mSelectTotal.Inc()
+	obs.RecordQueryShape(shape)
+	e.WallNS = int64(d)
+	if explain || obs.DefaultSlowOps.Slow(d) {
+		e.Query = p.String()
+	}
+	c.finishQuery(sp, &e, explain)
+	return out, e
+}
+
+// selectLocked runs a selection under a held lock, with no report.
 func (m *Manager) selectLocked(p rdf.Pattern) []rdf.Triple {
-	out, _ := m.selectExplainLocked(p, nil)
-	return out
+	q, list, choice := m.st.plan(p)
+	choice.count()
+	return m.st.collect(q, list, choice, nil)
 }
 
 // Count returns the number of triples matching the pattern without

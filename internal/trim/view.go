@@ -2,7 +2,6 @@ package trim
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -24,20 +23,29 @@ func (m *Manager) View(root rdf.Term) *rdf.Graph {
 // accepts every triple. Filters let DMIs exclude cross-links (e.g., marks
 // shared between scraps) from a containment view.
 func (m *Manager) ViewFiltered(root rdf.Term, filter func(rdf.Triple) bool) *rdf.Graph {
-	start := time.Now()
+	out, _ := m.viewQuery(nil, root, filter, false)
+	return out
+}
+
+// viewQuery is every view entry point: the walk under the read lock, its
+// latency, count and shape, and its span (nil for none), which it
+// finishes. The report's Query is filled when explain asks for it or the
+// view was slow.
+func (m *Manager) viewQuery(sp *obs.Span, root rdf.Term, filter func(rdf.Triple) bool, explain bool) (*rdf.Graph, Explain) {
+	c := startClock(sp)
 	m.mu.RLock()
 	out, e := m.viewExplainLocked(root, filter)
 	m.mu.RUnlock()
-	d := time.Since(start)
+	d := c.elapsed()
 	mViewNS.Observe(int64(d))
 	mViewTotal.Inc()
 	recordViewShape()
-	if obs.DefaultSlowOps.Slow(d) {
+	e.WallNS = int64(d)
+	if explain || obs.DefaultSlowOps.Slow(d) {
 		e.Query = root.String()
-		e.WallNS = int64(d)
-		e.journal(start)
 	}
-	return out
+	c.finishQuery(sp, &e, explain)
+	return out, e
 }
 
 // viewExplainLocked is the reachability walk behind View, ViewFiltered,
