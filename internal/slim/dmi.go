@@ -160,21 +160,17 @@ func (d *DMI) GetCtx(ctx context.Context, id rdf.Term) (obj *Object, err error) 
 		return nil, fmt.Errorf("slim: no instance %s", id.Value())
 	}
 	construct := ""
-	props := make(map[string][]rdf.Term)
 	for _, t := range triples {
 		if t.Predicate == rdf.RDFType {
 			if _, ok := d.model.Construct(t.Object.Value()); ok {
 				construct = t.Object.Value()
 			}
-			continue
 		}
-		p := t.Predicate.Value()
-		props[p] = append(props[p], t.Object)
 	}
 	if construct == "" {
 		return nil, fmt.Errorf("slim: %s is not an instance of model %s", id.Value(), d.model.ID)
 	}
-	return newObject(id, construct, props), nil
+	return &Object{ID: id, Construct: construct, triples: triples}, nil
 }
 
 // Set replaces all values of the connector on the instance with one value

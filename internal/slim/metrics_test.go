@@ -49,12 +49,13 @@ func TestDMIOpMetrics(t *testing.T) {
 	}
 }
 
-// TestDMIGetAllocations guards a DMI read's allocation count. Of the 10,
+// TestDMIGetAllocations guards a DMI read's allocation count. Of the 4,
 // the instrumentation's share is the two spans (the op's and its TRIM
-// select's); the rest is the select's result and the Object built from
-// it. It was 17, when each span took a second allocation for its context,
-// a select built its shape key and span detail, and a result grew from
-// nil.
+// select's); the rest is the select's result, which the Object keeps, and
+// the Object. It was 10, when the Object held a map of per-connector
+// slices, and 17 before that, when each span took a second allocation for
+// its context, a select built its shape key and span detail, and a result
+// grew from nil.
 func TestDMIGetAllocations(t *testing.T) {
 	d := newBundleScrapDMI(t)
 	obj, err := d.Create(metamodel.ConstructBundle, map[string]any{
@@ -66,7 +67,7 @@ func TestDMIGetAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 10
+	const want = 4
 	got := testing.AllocsPerRun(100, func() {
 		if _, err := d.Get(obj.ID); err != nil {
 			t.Fatal(err)

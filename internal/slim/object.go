@@ -2,7 +2,6 @@ package slim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rdf"
 )
@@ -16,26 +15,41 @@ type Object struct {
 	ID rdf.Term
 	// Construct is the IRI of the instance's construct (its type).
 	Construct string
-	// props maps connector IRI -> values in deterministic order.
-	props map[string][]rdf.Term
+	// triples is the instance's subject select, in (predicate, object)
+	// order and rdf:type included, so each connector's values are one run.
+	triples []rdf.Triple
 }
 
-// newObject builds an object snapshot.
-func newObject(id rdf.Term, construct string, props map[string][]rdf.Term) *Object {
-	return &Object{ID: id, Construct: construct, props: props}
+// run returns the connector's triples, nil when it has none. rdf:type
+// names the construct and is no connector.
+func (o *Object) run(connectorID string) []rdf.Triple {
+	if connectorID == rdf.RDFType.Value() {
+		return nil
+	}
+	for i, t := range o.triples {
+		if t.Predicate.Value() != connectorID {
+			continue
+		}
+		j := i + 1
+		for j < len(o.triples) && o.triples[j].Predicate == t.Predicate {
+			j++
+		}
+		return o.triples[i:j]
+	}
+	return nil
 }
 
 // Get returns the single value of the connector. It errors when the
 // property is absent or multi-valued.
 func (o *Object) Get(connectorID string) (rdf.Term, error) {
-	vs := o.props[connectorID]
-	switch len(vs) {
+	run := o.run(connectorID)
+	switch len(run) {
 	case 0:
 		return rdf.Zero, fmt.Errorf("slim: %s has no value for %s", o.ID.Value(), connectorID)
 	case 1:
-		return vs[0], nil
+		return run[0].Object, nil
 	default:
-		return rdf.Zero, fmt.Errorf("slim: %s has %d values for %s, want 1", o.ID.Value(), len(vs), connectorID)
+		return rdf.Zero, fmt.Errorf("slim: %s has %d values for %s, want 1", o.ID.Value(), len(run), connectorID)
 	}
 }
 
@@ -61,16 +75,28 @@ func (o *Object) GetInt(connectorID string) int64 {
 
 // All returns every value of the connector, in deterministic order.
 func (o *Object) All(connectorID string) []rdf.Term {
-	return append([]rdf.Term(nil), o.props[connectorID]...)
+	run := o.run(connectorID)
+	if len(run) == 0 {
+		return nil
+	}
+	out := make([]rdf.Term, len(run))
+	for i, t := range run {
+		out[i] = t.Object
+	}
+	return out
 }
 
 // Connectors returns the connector IRIs that have values, sorted.
 func (o *Object) Connectors() []string {
-	out := make([]string, 0, len(o.props))
-	for k := range o.props {
-		out = append(out, k)
+	out := make([]string, 0, len(o.triples))
+	for _, t := range o.triples {
+		if t.Predicate == rdf.RDFType {
+			continue
+		}
+		if c := t.Predicate.Value(); len(out) == 0 || out[len(out)-1] != c {
+			out = append(out, c)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,7 +1,10 @@
 package slim
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -456,6 +459,101 @@ func TestObjectAccessors(t *testing.T) {
 	fresh, _ := d.Get(b.ID)
 	if _, err := fresh.Get(metamodel.ConnNestedBundle); err == nil {
 		t.Error("Get of multi-valued connector succeeded")
+	}
+}
+
+// TestObjectMatchesSelect checks every Object answer against a map built
+// here from the same subject select a Get reads: Connectors, All's order,
+// Get with its absent and multi-value errors, GetString and GetInt. The
+// instance's connectors sort on both sides of rdf:type, and one shares its
+// namespace.
+func TestObjectMatchesSelect(t *testing.T) {
+	d := newBundleScrapDMI(t)
+	b, err := d.Create(metamodel.ConstructBundle, map[string]any{
+		metamodel.ConnBundleName:  "b",
+		metamodel.ConnBundleWidth: 120,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"n2", "n1"} {
+		n, err := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Add(b.ID, metamodel.ConnNestedBundle, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range []rdf.Triple{
+		rdf.T(b.ID, rdf.IRI("http://a.example/first"), rdf.String("x")),
+		rdf.T(b.ID, rdf.IRI("http://a.example/first"), rdf.Integer(3)),
+		rdf.T(b.ID, rdf.IRI(rdf.NSRDF+"first"), rdf.Integer(7)),
+		rdf.T(b.ID, rdf.IRI(rdf.NSRDF+"value"), rdf.String("after rdf:type")),
+		rdf.T(b.ID, rdf.IRI("urn:z"), rdf.String("lit")),
+		rdf.T(b.ID, rdf.IRI("urn:z"), rdf.Blank("n")),
+		rdf.T(b.ID, rdf.IRI("urn:z"), rdf.IRI("http://x/1")),
+		rdf.T(b.ID, rdf.IRI("urn:one"), rdf.TypedLiteral("5", "http://t/dt")),
+	} {
+		if _, err := d.Trim().Create(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obj, err := d.Get(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	triples := d.Trim().Select(rdf.P(b.ID, rdf.Zero, rdf.Zero))
+	if !slices.IsSortedFunc(triples, rdf.Triple.Compare) {
+		t.Fatalf("subject select out of triple order: %v", triples)
+	}
+	want := map[string][]rdf.Term{}
+	for _, x := range triples {
+		if x.Predicate != rdf.RDFType {
+			want[x.Predicate.Value()] = append(want[x.Predicate.Value()], x.Object)
+		}
+	}
+	conns := make([]string, 0, len(want))
+	for c := range want {
+		conns = append(conns, c)
+	}
+	sort.Strings(conns)
+	if got := obj.Connectors(); !slices.Equal(got, conns) {
+		t.Errorf("Connectors = %v, want %v", got, conns)
+	}
+	if conns[0] >= rdf.RDFType.Value() || conns[len(conns)-1] <= rdf.RDFType.Value() {
+		t.Fatalf("connectors %v do not straddle rdf:type", conns)
+	}
+	for _, c := range append(conns, rdf.RDFType.Value(), "http://absent") {
+		vs := want[c]
+		if got := obj.All(c); !slices.Equal(got, vs) {
+			t.Errorf("All(%s) = %v, want %v", c, got, vs)
+		}
+		got, err := obj.Get(c)
+		wantString, wantInt := "", int64(0)
+		switch len(vs) {
+		case 0:
+			if err == nil || !strings.Contains(err.Error(), "has no value") {
+				t.Errorf("Get(%s) = %v, %v; want a no-value error", c, got, err)
+			}
+		case 1:
+			if err != nil || got != vs[0] {
+				t.Errorf("Get(%s) = %v, %v; want %v", c, got, err, vs[0])
+			}
+			wantString = vs[0].Value()
+			wantInt, _ = vs[0].Int()
+		default:
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("has %d values", len(vs))) {
+				t.Errorf("Get(%s) = %v, %v; want a %d-value error", c, got, err, len(vs))
+			}
+		}
+		if got := obj.GetString(c); got != wantString {
+			t.Errorf("GetString(%s) = %q, want %q", c, got, wantString)
+		}
+		if got := obj.GetInt(c); got != wantInt {
+			t.Errorf("GetInt(%s) = %d, want %d", c, got, wantInt)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (b bundleView) Scraps() []rdf.Term {
 
 type scrapView struct {
 	obj     *slim.Object
-	handles []MarkHandle
+	handles []handleView // boxed only when MarkHandles copies them out
 }
 
 func (s scrapView) ID() rdf.Term      { return s.obj.ID }
@@ -108,7 +108,16 @@ func (s scrapView) Pos() Coordinate {
 	c, _ := ParseCoordinate(s.obj.GetString(metamodel.ConnScrapPos))
 	return c
 }
-func (s scrapView) MarkHandles() []MarkHandle { return append([]MarkHandle(nil), s.handles...) }
+func (s scrapView) MarkHandles() []MarkHandle {
+	if len(s.handles) == 0 {
+		return nil
+	}
+	out := make([]MarkHandle, len(s.handles))
+	for i, h := range s.handles {
+		out[i] = h
+	}
+	return out
+}
 
 type handleView struct {
 	id     rdf.Term

@@ -239,7 +239,7 @@ func (d *DMI) scrapOf(obj *slim.Object) (Scrap, error) {
 	if obj.Construct != metamodel.ConstructScrap {
 		return nil, fmt.Errorf("slimpad: %s is a %s, not a Scrap", obj.ID.Value(), obj.Construct)
 	}
-	var handles []MarkHandle
+	var handles []handleView
 	for _, h := range obj.All(metamodel.ConnScrapMark) {
 		hv := handleView{id: h}
 		if t, err := d.store.Trim().One(rdf.P(h, metamodel.PropMarkID, rdf.Zero)); err == nil {

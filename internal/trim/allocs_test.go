@@ -11,7 +11,8 @@ import (
 
 // TestSelectAllocations guards the read path's allocations: a select
 // allocates its result and nothing else — no shape key, no span detail, no
-// growth of the result — and a traced select adds only its span.
+// growth of the result — a traced select adds only its span, and One's
+// single match stays on the stack.
 func TestSelectAllocations(t *testing.T) {
 	m := NewManager()
 	p := rdf.IRI("http://t/p")
@@ -41,7 +42,7 @@ func TestSelectAllocations(t *testing.T) {
 			if _, err := m.One(rdf.P(one, p, rdf.Zero)); err != nil {
 				t.Fatal(err)
 			}
-		}, 1},
+		}, 0},
 		{"SelectCtx under a span", func() { m.SelectCtx(ctx, rdf.P(seven, rdf.Zero, rdf.Zero)) }, 2},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package trim
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/rdf"
@@ -50,10 +51,10 @@ func BenchmarkSelectBySubject(b *testing.B) {
 }
 
 // BenchmarkSelectBare is BenchmarkSelectBySubject's select with its
-// instrumentation taken out: the same plan, match, materialisation and
-// sort, without the tracked lock, clock reads, histograms, counters or
-// shape sketch. The gap between the two is what instrumentation costs a
-// select.
+// instrumentation taken out: the same plan, match and materialisation
+// (a subject select reads its list in order and sorts nothing), without
+// the tracked lock, clock reads, histograms, counters or shape sketch.
+// The gap between the two is what instrumentation costs a select.
 func BenchmarkSelectBare(b *testing.B) {
 	m := NewManager()
 	for i := 0; i < 10000; i++ {
@@ -63,9 +64,61 @@ func BenchmarkSelectBare(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q, list, choice := m.st.plan(pat)
-		if len(m.st.collect(q, list, choice, nil)) != 1 {
+		if len(m.st.collect(q, list, choice, nil, nil)) != 1 {
 			b.Fatal("wrong result")
 		}
+	}
+}
+
+// hubGraph returns n triples on one subject and one predicate, with the
+// even objects v000000, v000002, ..., and a triple of theirs with an odd
+// object, which sorts mid-list and is not in the graph.
+func hubGraph(n int) (*rdf.Graph, rdf.Triple) {
+	hub, p := rdf.IRI("http://t/hub"), rdf.IRI("http://t/p")
+	g := rdf.NewGraph()
+	for i := 0; i < n; i++ {
+		g.Add(rdf.T(hub, p, rdf.String(fmt.Sprintf("v%06d", 2*i))))
+	}
+	return g, rdf.T(hub, p, rdf.String(fmt.Sprintf("v%06d", n|1)))
+}
+
+// BenchmarkCreateRemoveHub creates, then removes, one triple that sorts
+// mid-list on a subject holding n triples: the cost of keeping a large
+// subject list in order, a search and a shift of half the list each way.
+func BenchmarkCreateRemoveHub(b *testing.B) {
+	for _, n := range []int{10, 1000, 10000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			g, extra := hubGraph(n)
+			m := NewManager()
+			m.Replace(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if added, err := m.Create(extra); !added || err != nil {
+					b.Fatal(added, err)
+				}
+				if !m.Remove(extra) {
+					b.Fatal("not removed")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplaceHub bulk-loads a store whose n triples share one
+// subject. The graph hands them over in map order, so each lands at a
+// searched slot of the one subject list.
+func BenchmarkReplaceHub(b *testing.B) {
+	for _, n := range []int{1000, 10000, 100000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			g, _ := hubGraph(n)
+			m := NewManager()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Replace(g)
+			}
+		})
 	}
 }
 

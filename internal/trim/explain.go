@@ -85,12 +85,13 @@ func (m *Manager) explainLocked(op string, index indexChoice) Explain {
 }
 
 // selectExplainLocked is the single implementation behind Select,
-// SelectFiltered and SelectExplain: it runs the planner, scans, keeps the
-// matches keep accepts (all of them when keep is nil), and fills every
-// Explain field except Query and WallNS (the caller owns those). It also
-// returns the query's shape key for the heavy-hitter sketch (shapes.go).
-// Only the matching rows become rdf.Triple values.
-func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool) ([]rdf.Triple, Explain, string) {
+// SelectFiltered, SelectExplain and One: it runs the planner, scans,
+// keeps the matches keep accepts (all of them when keep is nil), in buf
+// when it has room (store.collect), and fills every Explain field except
+// Query and WallNS (the caller owns those). It also returns the query's
+// shape key for the heavy-hitter sketch (shapes.go). Only the matching
+// rows become rdf.Triple values.
+func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool, buf []rdf.Triple) ([]rdf.Triple, Explain, string) {
 	q, list, choice := m.st.plan(p)
 	choice.count()
 	e := m.explainLocked("select", choice)
@@ -103,7 +104,7 @@ func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool)
 	if choice == indexNone {
 		e.Candidates = len(m.st.rows)
 	}
-	out := m.st.collect(q, list, choice, keep)
+	out := m.st.collect(q, list, choice, keep, buf)
 	e.Matched = len(out)
 	return out, e, selectShape(p, choice, pc)
 }
@@ -111,7 +112,7 @@ func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool)
 // SelectExplain is Select plus an execution report. It records the same
 // metrics as Select and journals slow queries with their EXPLAIN line.
 func (m *Manager) SelectExplain(p rdf.Pattern) ([]rdf.Triple, Explain) {
-	return m.selectQuery(nil, p, nil, true)
+	return m.selectQuery(nil, p, nil, true, nil)
 }
 
 // ViewExplain is View plus an execution report: Candidates counts the

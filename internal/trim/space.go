@@ -30,7 +30,7 @@ const (
 	sliceHeaderBytes  = 3 * wordBytes                   // pointer + len + cap
 	idBytes           = 4                               // an int32 term id or row index
 	tripleBytes       = 3 * idBytes                     // a triple as three ids = 12
-	rowBytes          = tripleBytes + 3*idBytes         // ids + posting offsets = 24
+	rowBytes          = tripleBytes + 2*idBytes         // ids + predicate and object offsets = 20
 )
 
 // mapBytes estimates the resident footprint of a Go map holding n entries
@@ -110,7 +110,7 @@ type SpaceStats struct {
 	// EstimatedBytes. DictionaryBytes is the id -> term table, the
 	// term -> id map, the free-id list, and one copy of each distinct
 	// term's strings (UniqueStringBytes). TripleBytes is the rows (three
-	// ids and three posting offsets each) and the triple -> row map.
+	// ids and two posting offsets each) and the triple -> row map.
 	// IndexOverheadBytes sums the three Indexes' posting lists.
 	// CardOverheadBytes is the per-predicate cardinality table
 	// (refcounted subject/object maps).

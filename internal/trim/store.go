@@ -1,6 +1,8 @@
 package trim
 
 import (
+	"slices"
+
 	"repro/internal/rdf"
 )
 
@@ -8,12 +10,15 @@ import (
 // promises for large data sets. Every distinct term is interned once in a
 // dictionary under a dense int32 id, each triple is stored once as three
 // ids, and each term keeps one posting list per triple position: the rows
-// of the triples that carry it there. A row records its offset in its
-// three lists, so a remove swap-deletes the three entries without
-// scanning a list and leaves no tombstone behind. A term whose last
-// triple is removed leaves the dictionary and its id is reused, so churn
-// through distinct values (SetUnique on a counter) keeps the dictionary
-// bounded.
+// of the triples that carry it there. A subject's list is kept in
+// (predicate, object) term order, so a select bound by subject reads its
+// result in order and sorts nothing: add and remove find a triple's slot
+// there by binary search and shift the entries after it. The predicate and
+// object lists are unordered. A row records its offset in those two, so a
+// remove swap-deletes both entries without scanning a list, and no remove
+// leaves a tombstone behind. A term whose last triple is removed leaves
+// the dictionary and its id is reused, so churn through distinct values
+// (SetUnique on a counter) keeps the dictionary bounded.
 
 // Triple positions: the index of a term in an idTriple and of a posting
 // list in an entry.
@@ -53,11 +58,12 @@ type entry struct {
 	post [3][]int32
 }
 
-// row is one stored triple and its offset in each of its terms' posting
-// lists.
+// row is one stored triple and its offsets in its predicate's and its
+// object's posting lists, at[pos-posP] for pos posP and posO. Its place in
+// its subject's ordered list is found by search (subjectSlot).
 type row struct {
 	ids idTriple
-	at  [3]int32
+	at  [2]int32
 }
 
 // store holds the triples in the interned layout, with the per-predicate
@@ -125,6 +131,27 @@ func (s *store) intern(t rdf.Term) int32 {
 	return id
 }
 
+// comparePO orders two triples of one subject by predicate, then object,
+// in term order. Equal ids are equal terms, so they compare without a
+// string read.
+func (s *store) comparePO(a, b idTriple) int {
+	for pos := posP; pos <= posO; pos++ {
+		if a[pos] != b[pos] {
+			return s.term(a[pos]).Compare(s.term(b[pos]))
+		}
+	}
+	return 0
+}
+
+// subjectSlot returns the index at which the triple k sits, or would be
+// inserted, in its subject's ordered posting list, and whether it is
+// there.
+func (s *store) subjectSlot(k idTriple) (int, bool) {
+	return slices.BinarySearchFunc(s.dict[k[posS]].post[posS], k, func(r int32, k idTriple) int {
+		return s.comparePO(s.rows[r].ids, k)
+	})
+}
+
 // add stores a valid triple, reporting whether it was new.
 func (s *store) add(t rdf.Triple) bool {
 	k := idTriple{s.intern(t.Subject), s.intern(t.Predicate), s.intern(t.Object)}
@@ -132,10 +159,13 @@ func (s *store) add(t rdf.Triple) bool {
 		return false
 	}
 	r := int32(len(s.rows))
+	i, _ := s.subjectSlot(k)
+	subj := &s.dict[k[posS]].post[posS]
+	*subj = slices.Insert(*subj, i, r)
 	rw := row{ids: k}
-	for pos, id := range k {
-		list := &s.dict[id].post[pos]
-		rw.at[pos] = int32(len(*list))
+	for pos := posP; pos <= posO; pos++ {
+		list := &s.dict[k[pos]].post[pos]
+		rw.at[pos-posP] = int32(len(*list))
 		*list = append(*list, r)
 	}
 	s.rows = append(s.rows, rw)
@@ -144,28 +174,34 @@ func (s *store) add(t rdf.Triple) bool {
 	return true
 }
 
-// remove deletes a triple, reporting whether it was stored. Each posting
-// list moves its last entry into the removed one's slot, the last row
-// moves into the removed row's slot, and a term left in no triple frees
-// its id.
+// remove deletes a triple, reporting whether it was stored. Its subject's
+// list closes the gap it leaves, its predicate's and object's lists each
+// move their last entry into its slot, the last row moves into its row
+// slot, and a term left in no triple frees its id.
 func (s *store) remove(t rdf.Triple) bool {
 	r, ok := s.find(t)
 	if !ok {
 		return false
 	}
 	gone := s.rows[r]
-	for pos, id := range gone.ids {
+	i, _ := s.subjectSlot(gone.ids)
+	subj := &s.dict[gone.ids[posS]].post[posS]
+	*subj = slices.Delete(*subj, i, i+1)
+	for pos := posP; pos <= posO; pos++ {
+		id, at := gone.ids[pos], gone.at[pos-posP]
 		list := s.dict[id].post[pos]
 		last := list[len(list)-1]
-		list[gone.at[pos]] = last
-		s.rows[last].at[pos] = gone.at[pos]
+		list[at] = last
+		s.rows[last].at[pos-posP] = at
 		s.dict[id].post[pos] = list[:len(list)-1]
 	}
 	if end := int32(len(s.rows) - 1); r != end {
 		moved := s.rows[end]
 		s.rows[r] = moved
-		for pos, id := range moved.ids {
-			s.dict[id].post[pos][moved.at[pos]] = r
+		j, _ := s.subjectSlot(moved.ids)
+		s.dict[moved.ids[posS]].post[posS][j] = r
+		for pos := posP; pos <= posO; pos++ {
+			s.dict[moved.ids[pos]].post[pos][moved.at[pos-posP]] = r
 		}
 		s.where[moved.ids] = r
 	}
@@ -214,25 +250,36 @@ func (s *store) plan(p rdf.Pattern) (idPattern, []int32, indexChoice) {
 	return q, best, choice
 }
 
-// collect materializes the rows a plan selected that match q and that keep
-// accepts (every match when keep is nil), sorted. Without a filter it
-// counts the matches first, so the result is allocated once, at its size.
-func (s *store) collect(q idPattern, list []int32, choice indexChoice, keep func(rdf.Triple) bool) []rdf.Triple {
-	var out []rdf.Triple
+// count returns how many rows a plan selected match q.
+func (s *store) count(q idPattern, list []int32, choice indexChoice) int {
+	if choice == indexNone {
+		return len(s.rows) // a scan matches every row
+	}
+	n := 0
+	for _, r := range list {
+		if q.matches(s.rows[r].ids) {
+			n++
+		}
+	}
+	return n
+}
+
+// collect returns the rows a plan selected that match q and that keep
+// accepts (every match when keep is nil), in triple order, in buf's
+// storage when it has room (buf is empty; nil for none). A subject list
+// is already in that order; any other result is sorted. Without a filter
+// it counts the matches first, so the result is allocated at most once,
+// at its size.
+func (s *store) collect(q idPattern, list []int32, choice indexChoice, keep func(rdf.Triple) bool, buf []rdf.Triple) []rdf.Triple {
+	out := buf
 	if keep == nil {
-		n := len(s.rows) // a scan matches every row
-		if choice != indexNone {
-			n = 0
-			for _, r := range list {
-				if q.matches(s.rows[r].ids) {
-					n++
-				}
-			}
-		}
+		n := s.count(q, list, choice)
 		if n == 0 {
-			return nil
+			return out
 		}
-		out = make([]rdf.Triple, 0, n)
+		if cap(out) < n {
+			out = make([]rdf.Triple, 0, n)
+		}
 	}
 	emit := func(r int32) {
 		if t := s.triple(r); keep == nil || keep(t) {
@@ -250,6 +297,8 @@ func (s *store) collect(q idPattern, list []int32, choice indexChoice, keep func
 			}
 		}
 	}
-	sortTriples(out)
+	if choice != indexSubject {
+		sortTriples(out)
+	}
 	return out
 }

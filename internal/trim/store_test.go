@@ -9,8 +9,10 @@ import (
 
 // checkLayout verifies the interned layout's internal invariants: the
 // dictionary holds exactly the terms some triple carries, free slots are
-// empty, every row is findable, and every posting entry and row offset
-// point at each other.
+// empty, every row is findable, every subject list names only its own
+// triples, strictly in (predicate, object) term order and each at the
+// slot a search finds for it, and every predicate and object entry and
+// its row's offset point at each other.
 func checkLayout(t *testing.T, m *Manager) {
 	t.Helper()
 	m.mu.RLock()
@@ -34,13 +36,32 @@ func checkLayout(t *testing.T, m *Manager) {
 	if len(st.where) != len(st.rows) {
 		t.Fatalf("%d rows, %d in the triple map", len(st.rows), len(st.where))
 	}
+	for id, e := range st.dict {
+		list := e.post[posS]
+		for i, r := range list {
+			if int(r) >= len(st.rows) || st.rows[r].ids[posS] != int32(id) {
+				t.Fatalf("subject %d: entry %d names row %d, not one of its triples", id, i, r)
+			}
+			if i == 0 {
+				continue
+			}
+			prev, next := st.triple(list[i-1]), st.triple(r)
+			if c := prev.Predicate.Compare(next.Predicate); c > 0 || c == 0 && prev.Object.Compare(next.Object) >= 0 {
+				t.Fatalf("subject %d: entry %d %v is not before entry %d %v", id, i-1, prev, i, next)
+			}
+		}
+	}
 	for r, rw := range st.rows {
 		if got, ok := st.where[rw.ids]; !ok || got != int32(r) {
 			t.Fatalf("row %d: triple map says %d, %v", r, got, ok)
 		}
-		for pos, id := range rw.ids {
-			if list := st.dict[id].post[pos]; int(rw.at[pos]) >= len(list) || list[rw.at[pos]] != int32(r) {
-				t.Fatalf("row %d position %d: offset %d does not point back", r, pos, rw.at[pos])
+		if i, ok := st.subjectSlot(rw.ids); !ok || st.dict[rw.ids[posS]].post[posS][i] != int32(r) {
+			t.Fatalf("row %d: subject search finds slot %d, %v", r, i, ok)
+		}
+		for pos := posP; pos <= posO; pos++ {
+			at := rw.at[pos-posP]
+			if list := st.dict[rw.ids[pos]].post[pos]; int(at) >= len(list) || list[at] != int32(r) {
+				t.Fatalf("row %d position %d: offset %d does not point back", r, pos, at)
 			}
 		}
 	}

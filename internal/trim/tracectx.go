@@ -116,7 +116,7 @@ func (m *Manager) RemoveMatchingCtx(ctx context.Context, p rdf.Pattern) int {
 // SelectCtx is Select with the caller's trace attached.
 func (m *Manager) SelectCtx(ctx context.Context, p rdf.Pattern) []rdf.Triple {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	out, _ := m.selectQuery(sp, p, nil, false)
+	out, _ := m.selectQuery(sp, p, nil, false, nil)
 	return out
 }
 
@@ -131,7 +131,7 @@ func (m *Manager) ViewCtx(ctx context.Context, root rdf.Term) *rdf.Graph {
 // plan line becomes the span detail once the query has run.
 func (m *Manager) SelectExplainCtx(ctx context.Context, p rdf.Pattern) ([]rdf.Triple, Explain) {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	return m.selectQuery(sp, p, nil, true)
+	return m.selectQuery(sp, p, nil, true, nil)
 }
 
 // ViewExplainCtx is ViewExplain with the caller's trace attached; the plan

@@ -195,18 +195,19 @@ func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 // explains and journals as one select. keep runs under the store's read
 // lock and must not call back into the Manager.
 func (m *Manager) SelectFiltered(p rdf.Pattern, keep func(rdf.Triple) bool) []rdf.Triple {
-	out, _ := m.selectQuery(nil, p, keep, false)
+	out, _ := m.selectQuery(nil, p, keep, false, nil)
 	return out
 }
 
 // selectQuery is every select entry point: the query under the read lock,
 // its latency, count and shape, and its span (nil for none), which it
-// finishes. The report's Query is filled when explain asks for it or the
-// query was slow.
-func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple) bool, explain bool) ([]rdf.Triple, Explain) {
+// finishes. The result uses buf's storage when it has room (buf is
+// empty; nil for none). The report's Query is filled when explain asks
+// for it or the query was slow.
+func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple) bool, explain bool, buf []rdf.Triple) ([]rdf.Triple, Explain) {
 	c := startClock(sp)
 	m.mu.RLock()
-	out, e, shape := m.selectExplainLocked(p, keep)
+	out, e, shape := m.selectExplainLocked(p, keep, buf)
 	m.mu.RUnlock()
 	d := c.elapsed()
 	mSelectNS.Observe(int64(d))
@@ -224,7 +225,7 @@ func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple)
 func (m *Manager) selectLocked(p rdf.Pattern) []rdf.Triple {
 	q, list, choice := m.st.plan(p)
 	choice.count()
-	return m.st.collect(q, list, choice, nil)
+	return m.st.collect(q, list, choice, nil, nil)
 }
 
 // Count returns the number of triples matching the pattern without
@@ -235,23 +236,17 @@ func (m *Manager) Count(p rdf.Pattern) int {
 	mCountTotal.Inc()
 	q, list, choice := m.st.plan(p)
 	choice.count()
-	if choice == indexNone {
-		return len(m.st.rows)
-	}
-	n := 0
-	for _, r := range list {
-		if q.matches(m.st.rows[r].ids) {
-			n++
-		}
-	}
-	return n
+	return m.st.count(q, list, choice)
 }
 
 // One returns the single triple matching the pattern. It returns an error
 // when zero or more than one triple matches; callers use it to read
-// single-valued properties.
+// single-valued properties. It counts, explains and journals as one
+// select, and its result lives on the stack, so a single match allocates
+// nothing.
 func (m *Manager) One(p rdf.Pattern) (rdf.Triple, error) {
-	matches := m.Select(p)
+	var buf [2]rdf.Triple // room to tell one match from several
+	matches, _ := m.selectQuery(nil, p, nil, false, buf[:0])
 	switch len(matches) {
 	case 0:
 		return rdf.Triple{}, fmt.Errorf("trim: no triple matches %v", p)

@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI lane: lint (vet + slimvet), build, the full test suite under the
 # race detector, then the env-gated fault-injection sweep — persistence
-# faults plus the WAL torture lane (docs/ROBUSTNESS.md) — the trace smoke
-# and the benchmark module's tests. Mirrors `make ci` for environments
-# without make.
+# faults plus the WAL torture lane (docs/ROBUSTNESS.md) — a bounded fuzz
+# run of the TRIM model checker, the trace smoke and the benchmark
+# module's tests. Mirrors `make ci` for environments without make.
 set -eux
 
 go vet ./...
@@ -14,6 +14,10 @@ go run ./cmd/slimvet -baseline "" ./...
 go build ./...
 go test -race ./...
 SLIM_FAULT_SWEEP=1 go test -run FaultSweep ./internal/trim/ ./internal/mark/
+# Gating fuzz lane: 20 s of new op tapes through the TRIM model checker,
+# which checks the store's layout after every op. Minimizing a new input
+# is capped at 10 runs, or the fuzzer stalls on the first one it finds.
+go test -run '^$' -fuzz '^FuzzManagerOps$' -fuzztime 20s -fuzzminimizetime 10x ./internal/trim/
 go test -run TraceSmoke ./cmd/trimq/ ./cmd/slimpad/
 # The benchmark module's tests: cmd/slimbench is a nested module the root
 # `go test ./...` skips. Same module settings as cmd/slimbench/run.sh.
