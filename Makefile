@@ -39,12 +39,15 @@ race:
 # durable stage). The sweep tests are env-gated so the plain
 # `go test ./...` lane stays fast; this target turns them on. Then 20 s
 # of fuzzing the TRIM model checker (FuzzManagerOps), which checks the
-# store's layout after every op, on tapes beyond the committed corpus.
-# Minimizing a new input is capped at 10 runs, or the fuzzer stalls on
-# the first one it finds.
+# store's layout after every op, on tapes beyond the committed corpus,
+# and 20 s of fuzzing the XML store reader against the encoding/xml
+# decoder it replaced (FuzzReadXML): same graph or same error on every
+# input. Minimizing a new input is capped at 10 runs, or the fuzzer
+# stalls on the first one it finds.
 faults:
 	SLIM_FAULT_SWEEP=1 $(GO) test -run FaultSweep ./internal/trim/ ./internal/mark/
 	$(GO) test -run '^$$' -fuzz '^FuzzManagerOps$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/trim/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadXML$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/rdf/
 
 # The trace-smoke lane (docs/OBSERVABILITY.md): drives a real DMI op
 # through the binaries' trace subcommands and the -serve endpoints, and

@@ -30,11 +30,35 @@ var (
 	// are UTF-8 text; invalid bytes would silently mutate to U+FFFD on the
 	// way out and break round trips).
 	ErrInvalidUTF8 = errors.New("rdf: term value is not valid UTF-8")
+	// ErrInvalidChar: term values may hold only characters XML 1.0 can
+	// carry — no NUL, no C0 control other than tab, line feed and carriage
+	// return, no U+FFFE or U+FFFF. An XML save would write U+FFFD in their
+	// place, so the value would change at the next save and load.
+	ErrInvalidChar = errors.New("rdf: term value holds a character XML cannot carry")
 )
 
 // Validate reports whether the triple is well formed: the subject is a
-// resource, the predicate is an IRI, and the object is any non-zero term.
+// resource, the predicate is an IRI, the object is any non-zero term, and
+// every value and datatype is UTF-8 text of characters XML 1.0 can carry.
 func (t Triple) Validate() error {
+	if err := t.validateShape(); err != nil {
+		return err
+	}
+	if err := checkText(t.Subject); err != nil {
+		return fmt.Errorf("%w (subject)", err)
+	}
+	if err := checkText(t.Predicate); err != nil {
+		return fmt.Errorf("%w (predicate)", err)
+	}
+	if err := checkText(t.Object); err != nil {
+		return fmt.Errorf("%w (object)", err)
+	}
+	return nil
+}
+
+// validateShape is Validate without the text checks: each position holds
+// a term of a kind it admits, and only a literal may be empty.
+func (t Triple) validateShape() error {
 	switch t.Subject.Kind() {
 	case KindIRI, KindBlank:
 		if t.Subject.Value() == "" {
@@ -63,12 +87,50 @@ func (t Triple) Validate() error {
 	if t.Object.Value() == "" && t.Object.Kind() != KindLiteral {
 		return fmt.Errorf("%w (object)", ErrEmptyTermValue)
 	}
-	for pos, term := range map[string]Term{"subject": t.Subject, "predicate": t.Predicate, "object": t.Object} {
-		if !utf8.ValidString(term.Value()) || !utf8.ValidString(term.Datatype()) {
-			return fmt.Errorf("%w (%s)", ErrInvalidUTF8, pos)
+	return nil
+}
+
+// checkText reports whether a term's value and datatype are text both
+// serializations carry unchanged: valid UTF-8 (ErrInvalidUTF8) holding
+// only XML 1.0 characters (ErrInvalidChar).
+func checkText(t Term) error {
+	if err := checkString(t.value); err != nil {
+		return err
+	}
+	return checkString(t.dtype)
+}
+
+// checkString is checkText for one string, in one pass.
+func checkString(s string) error {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+				return ErrInvalidChar
+			}
+			i++
+			continue
 		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && w == 1:
+			return ErrInvalidUTF8
+		case !isXMLChar(r):
+			return ErrInvalidChar
+		}
+		i += w
 	}
 	return nil
+}
+
+// isXMLChar reports whether r is in XML 1.0's Char production: tab, line
+// feed, carriage return, and U+0020 up, less the surrogates, U+FFFE and
+// U+FFFF.
+func isXMLChar(r rune) bool {
+	return r == '\t' || r == '\n' || r == '\r' ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= utf8.MaxRune
 }
 
 // String renders the triple in N-Triples syntax without the trailing dot.

@@ -16,6 +16,7 @@ func TestTripleValidateOK(t *testing.T) {
 		T(IRI("s"), IRI("p"), Blank("o")),
 		T(IRI("s"), IRI("p"), String("")), // empty literal is allowed
 		T(IRI("s"), IRI("p"), Integer(0)),
+		T(IRI("s"), IRI("p"), String("tab\tlf\ncr\r \uFFFD \U0001F600 \u0085")), // the XML controls and non-ASCII
 	}
 	for _, tr := range cases {
 		if err := tr.Validate(); err != nil {
@@ -41,6 +42,11 @@ func TestTripleValidateErrors(t *testing.T) {
 		{"invalid utf8 predicate", T(IRI("s"), IRI("p\xff"), String("o")), ErrInvalidUTF8},
 		{"invalid utf8 object", T(IRI("s"), IRI("p"), String("o\x80")), ErrInvalidUTF8},
 		{"invalid utf8 datatype", T(IRI("s"), IRI("p"), TypedLiteral("o", "d\xfe")), ErrInvalidUTF8},
+		{"NUL in object", T(IRI("s"), IRI("p"), String("a\x00b")), ErrInvalidChar},
+		{"C0 control in object", T(IRI("s"), IRI("p"), String("a\x01b")), ErrInvalidChar},
+		{"form feed in subject", T(IRI("s\x0c"), IRI("p"), String("o")), ErrInvalidChar},
+		{"U+FFFE in predicate", T(IRI("s"), IRI("p\uFFFE"), String("o")), ErrInvalidChar},
+		{"U+FFFF in datatype", T(IRI("s"), IRI("p"), TypedLiteral("o", "d\uFFFF")), ErrInvalidChar},
 	}
 	for _, c := range cases {
 		err := c.tr.Validate()

@@ -38,11 +38,13 @@ var (
 		rdf.IRI("http://t/p0"),
 	}, modelSubjects...)
 	// modelInvalid are triples Create must reject: a literal subject, a
-	// blank predicate, a zero object.
+	// blank predicate, a zero object, a literal holding a control
+	// character XML cannot carry.
 	modelInvalid = []rdf.Triple{
 		rdf.T(rdf.String("lit"), rdf.IRI("http://t/p0"), rdf.String("v0")),
 		rdf.T(rdf.IRI("http://t/s0"), rdf.Blank("bp"), rdf.String("v0")),
 		rdf.T(rdf.IRI("http://t/s0"), rdf.IRI("http://t/p0"), rdf.Zero),
+		rdf.T(rdf.IRI("http://t/s0"), rdf.IRI("http://t/p0"), rdf.String("a\x01b")),
 	}
 	// modelAbsent never enters the store.
 	modelAbsent = rdf.IRI("http://t/absent")

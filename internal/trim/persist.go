@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 
 	"repro/internal/durable"
 	"repro/internal/obs"
@@ -126,13 +127,25 @@ func saveAtomic(path string, data []byte, backup bool) error {
 	return nil
 }
 
-// snapshotBytes renders a graph as the trailer-carrying XML snapshot form.
-func snapshotBytes(g *rdf.Graph) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := rdf.WriteXML(&buf, g); err != nil {
-		return nil, err
-	}
-	return appendTrailer(buf.Bytes()), nil
+// snapshotXML renders the store as the trailer-carrying XML snapshot. It
+// copies the terms and each subject's triples under the read lock and
+// encodes without it: the subjects in term order, each one's triples in
+// its list's (predicate, object) order, which is the order WriteXML gives
+// the same triples, so the bytes are the same.
+func (m *Manager) snapshotXML() []byte {
+	m.mu.RLock()
+	terms, ids, runs := m.st.saveCopy()
+	m.mu.RUnlock()
+	slices.SortFunc(runs, func(a, b subjectRun) int { return terms[a.subject].Compare(terms[b.subject]) })
+	// ~250 bytes a triple is the pads' average; a larger file grows once.
+	buf := rdf.AppendXML(make([]byte, 0, 256*len(ids)+512), func(yield func(rdf.Triple)) {
+		for _, run := range runs {
+			for _, k := range ids[run.from:run.to] {
+				yield(rdf.T(terms[k[posS]], terms[k[posP]], terms[k[posO]]))
+			}
+		}
+	})
+	return appendTrailer(buf)
 }
 
 // SaveFile persists the store to an XML file (the paper's persistence
@@ -142,58 +155,57 @@ func snapshotBytes(g *rdf.Graph) ([]byte, error) {
 // the previous good snapshot is kept as path+".bak" for LoadFile recovery.
 func (m *Manager) SaveFile(path string) error {
 	mSaveTotal.Inc()
-	data, err := snapshotBytes(m.Snapshot())
-	if err != nil {
-		mSaveErrors.Inc()
-		return fmt.Errorf("trim: save %s: %w", path, err)
-	}
-	if err := saveAtomic(path, data, true); err != nil {
+	if err := saveAtomic(path, m.snapshotXML(), true); err != nil {
 		mSaveErrors.Inc()
 		return err
 	}
 	return nil
 }
 
-// loadBytes verifies and parses one store file's bytes.
-func loadBytes(path string) (*rdf.Graph, error) {
-	data, err := os.ReadFile(path)
+// readStoreFile reads a store file whole; a test swaps it to see the
+// buffer a load reads into.
+var readStoreFile = os.ReadFile
+
+// decodeFile verifies and decodes one store file.
+func decodeFile(path string) (rdf.Interned, error) {
+	data, err := readStoreFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("trim: load: %w", err)
+		return rdf.Interned{}, fmt.Errorf("trim: load: %w", err)
 	}
 	body, err := verifyTrailer(data)
 	if err != nil {
-		return nil, fmt.Errorf("trim: load %s: %w", path, err)
+		return rdf.Interned{}, fmt.Errorf("trim: load %s: %w", path, err)
 	}
-	g, err := rdf.ReadXML(bytes.NewReader(body))
+	d, err := rdf.DecodeXML(body)
 	if err != nil {
-		return nil, fmt.Errorf("trim: load %s: %w: %w", path, ErrCorrupt, err)
+		return rdf.Interned{}, fmt.Errorf("trim: load %s: %w: %w", path, ErrCorrupt, err)
 	}
-	return g, nil
+	return d, nil
 }
 
-// loadSnapshot reads a snapshot file with .bak fallback, returning the
-// recovered graph without touching any manager. It is the shared read side
-// of LoadFile and the WAL backend's compacted-snapshot recovery.
-func loadSnapshot(path string) (*rdf.Graph, error) {
-	g, err := loadBytes(path)
+// loadSnapshot decodes a snapshot file with .bak fallback, touching no
+// manager. It is the shared read side of LoadFile and the WAL backend's
+// compacted-snapshot recovery.
+func loadSnapshot(path string) (rdf.Interned, error) {
+	d, err := decodeFile(path)
 	if err == nil {
-		return g, nil
+		return d, nil
 	}
 	if errors.Is(err, ErrCorrupt) {
 		mLoadCorrupt.Inc()
 	}
 	bak := path + BackupSuffix
 	if _, serr := os.Stat(bak); serr != nil {
-		return nil, err
+		return rdf.Interned{}, err
 	}
-	bg, berr := loadBytes(bak)
+	bd, berr := decodeFile(bak)
 	if berr != nil {
-		return nil, fmt.Errorf("%w (backup %s also unusable: %w)", err, bak, berr)
+		return rdf.Interned{}, fmt.Errorf("%w (backup %s also unusable: %w)", err, bak, berr)
 	}
 	mLoadRecovered.Inc()
 	obs.Log().Warn("trim: recovered store from backup snapshot",
 		"path", path, "backup", bak, "err", err)
-	return bg, nil
+	return bd, nil
 }
 
 // LoadFile replaces the store contents with the triples in the XML file.
@@ -204,11 +216,11 @@ func loadSnapshot(path string) (*rdf.Graph, error) {
 // untouched unless a good snapshot is found.
 func (m *Manager) LoadFile(path string) error {
 	mLoadFileTotal.Inc()
-	g, err := loadSnapshot(path)
+	d, err := loadSnapshot(path)
 	if err != nil {
 		return err
 	}
-	m.Replace(g)
+	m.load(d)
 	return nil
 }
 

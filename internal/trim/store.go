@@ -13,7 +13,8 @@ import (
 // of the triples that carry it there. A subject's list is kept in
 // (predicate, object) term order, so a select bound by subject reads its
 // result in order and sorts nothing: add and remove find a triple's slot
-// there by binary search and shift the entries after it. The predicate and
+// there by binary search and shift the entries after it, and a bulk load
+// appends and sorts each list once (bulk). The predicate and
 // object lists are unordered. A row records its offset in those two, so a
 // remove swap-deletes both entries without scanning a list, and no remove
 // leaves a tombstone behind. A term whose last triple is removed leaves
@@ -158,8 +159,16 @@ func (s *store) add(t rdf.Triple) bool {
 	if _, ok := s.where[k]; ok {
 		return false
 	}
-	r := int32(len(s.rows))
 	i, _ := s.subjectSlot(k)
+	s.place(k, i)
+	return true
+}
+
+// place stores a new triple as the last row: at index i of its subject's
+// list, at the end of its predicate's and its object's lists, in where,
+// and in the cardinalities.
+func (s *store) place(k idTriple, i int) {
+	r := int32(len(s.rows))
 	subj := &s.dict[k[posS]].post[posS]
 	*subj = slices.Insert(*subj, i, r)
 	rw := row{ids: k}
@@ -171,7 +180,80 @@ func (s *store) add(t rdf.Triple) bool {
 	s.rows = append(s.rows, rw)
 	s.where[k] = r
 	s.cardAdd(k)
-	return true
+}
+
+// bulk builds a fresh store from triples handed over in any order, the
+// one way every load fills a store. A new triple goes at the end of each
+// of its posting lists, with its where entry and its cardinalities, and
+// done sorts each subject's list once. A load into one subject then costs
+// one sort, not a search and a shift per triple.
+type bulk struct{ st store }
+
+// newBulk returns an empty builder sized for n triples. Its dictionary
+// and term map grow as terms arrive, as under Create: sized to a pad's
+// ~15k terms, the map takes half as much memory again, and the
+// dictionary reallocates at the first term a WAL replay adds.
+func newBulk(n int) *bulk { return &bulk{st: newStore(n)} }
+
+// id interns a term.
+func (b *bulk) id(t rdf.Term) int32 { return b.st.intern(t) }
+
+// add stores a triple of interned terms, unless it is stored already.
+func (b *bulk) add(k idTriple) {
+	if _, ok := b.st.where[k]; !ok {
+		b.st.place(k, len(b.st.dict[k[posS]].post[posS]))
+	}
+}
+
+// done puts every subject's list in (predicate, object) order and returns
+// the store.
+func (b *bulk) done() store {
+	s := &b.st
+	byPO := func(x, y int32) int { return s.comparePO(s.rows[x].ids, s.rows[y].ids) }
+	for id := range s.dict {
+		slices.SortFunc(s.dict[id].post[posS], byPO)
+	}
+	return b.st
+}
+
+// buildStore bulk-loads a decoded triple set. Its terms are distinct, so
+// each one's id is its index.
+func buildStore(d rdf.Interned) store {
+	b := newBulk(len(d.Triples))
+	for _, t := range d.Terms {
+		b.id(t)
+	}
+	for _, k := range d.Triples {
+		b.add(k)
+	}
+	return b.done()
+}
+
+// subjectRun is one subject's stretch of the triples a save copies.
+type subjectRun struct {
+	subject  int32
+	from, to int
+}
+
+// saveCopy copies what a save encodes: every slot's term, indexed by id,
+// and each subject's triples in list order, one run per subject. Caller
+// holds the read lock; the copy is the caller's to encode without it.
+func (s *store) saveCopy() (terms []rdf.Term, ids []idTriple, runs []subjectRun) {
+	terms = make([]rdf.Term, len(s.dict))
+	ids = make([]idTriple, 0, len(s.rows))
+	for id := range s.dict {
+		e := &s.dict[id]
+		terms[id] = e.term
+		if len(e.post[posS]) == 0 {
+			continue
+		}
+		from := len(ids)
+		for _, r := range e.post[posS] {
+			ids = append(ids, s.rows[r].ids)
+		}
+		runs = append(runs, subjectRun{subject: int32(id), from: from, to: len(ids)})
+	}
+	return terms, ids, runs
 }
 
 // remove deletes a triple, reporting whether it was stored. Its subject's

@@ -315,16 +315,30 @@ func (m *Manager) Snapshot() *rdf.Graph {
 func (m *Manager) Replace(g *rdf.Graph) {
 	start := time.Now()
 	defer mLoadNS.ObserveSince(start)
-	n := g.Len()
-	mLoadTriples.Add(int64(n))
-	mCreateTotal.Add(int64(n))
-	mCreateNew.Add(int64(n))
-	fresh := newStore(n)
+	b := newBulk(g.Len())
 	g.Each(func(t rdf.Triple) bool {
 		// A graph holds only validated triples.
-		fresh.add(t)
+		b.add(idTriple{b.id(t.Subject), b.id(t.Predicate), b.id(t.Object)})
 		return true
 	})
+	m.install(b.done())
+}
+
+// load swaps the manager's contents for a decoded store file's triples:
+// the build step of a file load, timed and counted as Replace is.
+func (m *Manager) load(d rdf.Interned) {
+	start := time.Now()
+	defer mLoadNS.ObserveSince(start)
+	m.install(buildStore(d))
+}
+
+// install swaps in a freshly built store, counting its triples as loaded
+// and created. It notifies no observer.
+func (m *Manager) install(fresh store) {
+	n := int64(len(fresh.rows))
+	mLoadTriples.Add(n)
+	mCreateTotal.Add(n)
+	mCreateNew.Add(n)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.st = fresh

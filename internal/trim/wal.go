@@ -101,15 +101,15 @@ func OpenWAL(m *Manager, path string, opts WALOptions) (*WALStore, error) {
 	}
 
 	// Base state: the compacted snapshot, or empty when none exists yet.
-	base := rdf.NewGraph()
+	var base rdf.Interned
 	haveSnap := false
 	snap := path + SnapshotSuffix
 	if _, err := os.Stat(snap); err == nil || !os.IsNotExist(err) {
-		g, lerr := loadSnapshot(snap)
+		d, lerr := loadSnapshot(snap)
 		if lerr != nil {
 			return nil, fmt.Errorf("trim: wal open %s: %w", path, lerr)
 		}
-		base = g
+		base = d
 		haveSnap = true
 	}
 
@@ -142,7 +142,7 @@ func OpenWAL(m *Manager, path string, opts WALOptions) (*WALStore, error) {
 		// already contains is a no-op (last writer per triple wins), which
 		// is what makes replay after a mid-compaction crash — or after a
 		// retried commit that duplicated a record — idempotent.
-		m.Replace(base)
+		m.load(base)
 		sort.SliceStable(ops, func(i, j int) bool { return ops[i].gen < ops[j].gen })
 		for _, op := range ops {
 			if op.add {
@@ -308,11 +308,7 @@ func (ws *WALStore) compactLocked() error {
 		ws.pending = ws.pending[:0]
 		ws.sinceCompact++
 	}
-	data, err := snapshotBytes(ws.m.Snapshot())
-	if err != nil {
-		return fmt.Errorf("trim: wal compact %s: %w", ws.snap, err)
-	}
-	if err := saveAtomic(ws.snap, data, true); err != nil {
+	if err := saveAtomic(ws.snap, ws.m.snapshotXML(), true); err != nil {
 		return fmt.Errorf("trim: wal compact: %w", err)
 	}
 	if err := ws.log.Reset(); err != nil {

@@ -14,10 +14,13 @@ go run ./cmd/slimvet -baseline "" ./...
 go build ./...
 go test -race ./...
 SLIM_FAULT_SWEEP=1 go test -run FaultSweep ./internal/trim/ ./internal/mark/
-# Gating fuzz lane: 20 s of new op tapes through the TRIM model checker,
-# which checks the store's layout after every op. Minimizing a new input
-# is capped at 10 runs, or the fuzzer stalls on the first one it finds.
+# Gating fuzz lanes: 20 s of new op tapes through the TRIM model checker,
+# which checks the store's layout after every op, and 20 s of documents
+# through the XML store reader beside the encoding/xml decoder it
+# replaced. Minimizing a new input is capped at 10 runs, or the fuzzer
+# stalls on the first one it finds.
 go test -run '^$' -fuzz '^FuzzManagerOps$' -fuzztime 20s -fuzzminimizetime 10x ./internal/trim/
+go test -run '^$' -fuzz '^FuzzReadXML$' -fuzztime 20s -fuzzminimizetime 10x ./internal/rdf/
 go test -run TraceSmoke ./cmd/trimq/ ./cmd/slimpad/
 # The benchmark module's tests: cmd/slimbench is a nested module the root
 # `go test ./...` skips. Same module settings as cmd/slimbench/run.sh.
