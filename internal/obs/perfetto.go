@@ -15,13 +15,13 @@ import (
 
 // traceEvent is one entry of the traceEvents array.
 type traceEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`  // microseconds
+	Dur  float64        `json:"dur"` // microseconds
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
 	Args traceEventArgs `json:"args"`
 }
 

@@ -139,12 +139,12 @@ func (t *TraceTree) WriteText(w io.Writer) error {
 
 // TraceSummary is one entry in the recent-roots index (/debug/traces).
 type TraceSummary struct {
-	Trace TraceID   `json:"trace_id"`
-	Op    string    `json:"op"`
-	Detail string   `json:"detail,omitempty"`
-	Start time.Time `json:"start"`
-	DurNS int64     `json:"dur_ns"`
-	Err   string    `json:"err,omitempty"`
+	Trace  TraceID   `json:"trace_id"`
+	Op     string    `json:"op"`
+	Detail string    `json:"detail,omitempty"`
+	Start  time.Time `json:"start"`
+	DurNS  int64     `json:"dur_ns"`
+	Err    string    `json:"err,omitempty"`
 	// Spans counts the retained records of the whole trace.
 	Spans int `json:"spans"`
 }

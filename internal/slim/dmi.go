@@ -2,6 +2,7 @@ package slim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -157,8 +158,35 @@ func (d *DMI) GetCtx(ctx context.Context, id rdf.Term) (obj *Object, err error) 
 	triples := d.store.trim.SelectCtx(ctx, rdf.P(id, rdf.Zero, rdf.Zero))
 	defer func() { op.done(len(triples), err) }()
 	if len(triples) == 0 {
-		return nil, fmt.Errorf("slim: no instance %s", id.Value())
+		return nil, errNoInstance(id)
 	}
+	construct := d.constructIn(triples)
+	if construct == "" {
+		return nil, d.errOtherModel(id)
+	}
+	return &Object{ID: id, Construct: construct, triples: triples}, nil
+}
+
+// constructOf returns the construct of an instance, read from its rdf:type
+// triples alone by one select into a stack buffer: all a write needs of the
+// instance, where a Get would build an Object. Its errors are GetCtx's; only
+// on that path does it count the subject's triples, to tell a missing
+// instance from another model's.
+func (d *DMI) constructOf(ctx context.Context, id rdf.Term) (string, error) {
+	var buf [2]rdf.Triple // an instance has one type; room for a second
+	types := d.store.trim.SelectBufCtx(ctx, rdf.P(id, rdf.RDFType, rdf.Zero), buf[:0])
+	if construct := d.constructIn(types); construct != "" {
+		return construct, nil
+	}
+	if len(types) == 0 && d.store.trim.Count(rdf.P(id, rdf.Zero, rdf.Zero)) == 0 {
+		return "", errNoInstance(id)
+	}
+	return "", d.errOtherModel(id)
+}
+
+// constructIn returns the construct of this model that an rdf:type triple
+// among the triples names (the last such, in triple order), or "".
+func (d *DMI) constructIn(triples []rdf.Triple) string {
 	construct := ""
 	for _, t := range triples {
 		if t.Predicate == rdf.RDFType {
@@ -167,10 +195,17 @@ func (d *DMI) GetCtx(ctx context.Context, id rdf.Term) (obj *Object, err error) 
 			}
 		}
 	}
-	if construct == "" {
-		return nil, fmt.Errorf("slim: %s is not an instance of model %s", id.Value(), d.model.ID)
-	}
-	return &Object{ID: id, Construct: construct, triples: triples}, nil
+	return construct
+}
+
+// errNoInstance reports a subject with no triples.
+func errNoInstance(id rdf.Term) error {
+	return fmt.Errorf("slim: no instance %s", id.Value())
+}
+
+// errOtherModel reports a subject that is no instance of the DMI's model.
+func (d *DMI) errOtherModel(id rdf.Term) error {
+	return fmt.Errorf("slim: %s is not an instance of model %s", id.Value(), d.model.ID)
 }
 
 // Set replaces all values of the connector on the instance with one value
@@ -179,13 +214,15 @@ func (d *DMI) Set(id rdf.Term, connectorID string, value any) error {
 	return d.SetCtx(nil, id, connectorID, value)
 }
 
-// SetCtx is Set under the caller's trace; the inner Get and the batch
+// SetCtx is Set under the caller's trace; the type select and the batch
 // apply appear as child spans — the interpretation overhead §6 prices,
-// made visible per request.
+// made visible per request. The batch holds one TRIM Set, which requires
+// the rdf:type triple the assignment was validated against, so an instance
+// deleted in between fails the Set instead of taking an orphan value.
 func (d *DMI) SetCtx(ctx context.Context, id rdf.Term, connectorID string, value any) (err error) {
 	ctx, op := startOpCtx(ctx, dmiSet, connectorID)
 	defer func() { op.done(2, err) }()
-	obj, err := d.GetCtx(ctx, id)
+	construct, err := d.constructOf(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -193,17 +230,20 @@ func (d *DMI) SetCtx(ctx context.Context, id rdf.Term, connectorID string, value
 	if err != nil {
 		return err
 	}
-	if err := d.validateAssignment(obj.Construct, connectorID, term); err != nil {
+	if err := d.validateAssignment(construct, connectorID, term); err != nil {
 		return err
 	}
 	b := d.store.trim.NewBatch()
-	if err := b.RemoveMatching(rdf.P(id, rdf.IRI(connectorID), rdf.Zero)); err != nil {
+	if err := b.Set(rdf.T(id, rdf.IRI(connectorID), term), rdf.T(id, rdf.RDFType, rdf.IRI(construct))); err != nil {
 		return err
 	}
-	if err := b.Create(rdf.T(id, rdf.IRI(connectorID), term)); err != nil {
+	if err := b.ApplyCtx(ctx); err != nil {
+		if errors.Is(err, trim.ErrGuard) {
+			return errNoInstance(id)
+		}
 		return err
 	}
-	return b.ApplyCtx(ctx)
+	return nil
 }
 
 // Add appends a value to a multi-valued connector (the addNestedBundle
@@ -213,11 +253,14 @@ func (d *DMI) Add(id rdf.Term, connectorID string, value any) error {
 	return d.AddCtx(nil, id, connectorID, value)
 }
 
-// AddCtx is Add under the caller's trace.
+// AddCtx is Add under the caller's trace. The TRIM create it ends in checks
+// the instance's rdf:type triple and the connector's upper cardinality in
+// the lock hold that stores the value, so concurrent Adds cannot exceed the
+// bound.
 func (d *DMI) AddCtx(ctx context.Context, id rdf.Term, connectorID string, value any) (err error) {
 	ctx, op := startOpCtx(ctx, dmiAdd, connectorID)
 	defer func() { op.done(1, err) }()
-	obj, err := d.GetCtx(ctx, id)
+	construct, err := d.constructOf(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -225,17 +268,26 @@ func (d *DMI) AddCtx(ctx context.Context, id rdf.Term, connectorID string, value
 	if err != nil {
 		return err
 	}
-	if err := d.validateAssignment(obj.Construct, connectorID, term); err != nil {
+	if err := d.validateAssignment(construct, connectorID, term); err != nil {
 		return err
 	}
 	conn, _ := d.model.Connector(connectorID)
-	if conn.MaxCard != metamodel.Unbounded {
-		n := d.store.trim.Count(rdf.P(id, rdf.IRI(connectorID), rdf.Zero))
-		if n >= conn.MaxCard {
-			return fmt.Errorf("slim: %s already has %d values of %s (max %d)", id.Value(), n, conn.Label, conn.MaxCard)
-		}
+	if _, err := d.store.trim.CreateGuardedCtx(ctx, rdf.T(id, rdf.IRI(connectorID), term),
+		rdf.T(id, rdf.RDFType, rdf.IRI(construct)), conn.MaxCard); err != nil {
+		return addError(id, conn, err)
 	}
-	_, err = d.store.trim.CreateCtx(ctx, rdf.T(id, rdf.IRI(connectorID), term))
+	return nil
+}
+
+// addError turns a refused guarded create into the DMI's error for it.
+func addError(id rdf.Term, conn metamodel.Connector, err error) error {
+	var full *trim.LimitError
+	switch {
+	case errors.Is(err, trim.ErrGuard):
+		return errNoInstance(id)
+	case errors.As(err, &full):
+		return fmt.Errorf("slim: %s already has %d values of %s (max %d)", id.Value(), full.Have, conn.Label, conn.MaxCard)
+	}
 	return err
 }
 
@@ -275,12 +327,13 @@ func (d *DMI) DeleteCtx(ctx context.Context, id rdf.Term, cascade bool) (err err
 	// A cascading delete's triple count includes the nested deletes, which
 	// also record their own ops — the nesting is visible in the trace ring.
 	defer func() { op.done(before-d.store.trim.Len(), err) }()
-	if _, err := d.GetCtx(ctx, id); err != nil {
+	obj, err := d.GetCtx(ctx, id)
+	if err != nil {
 		return err
 	}
 	children := map[rdf.Term]bool{}
 	if cascade {
-		for _, t := range d.store.trim.SelectCtx(ctx, rdf.P(id, rdf.Zero, rdf.Zero)) {
+		for _, t := range obj.triples {
 			if t.Predicate == rdf.RDFType || !t.Object.IsResource() {
 				continue
 			}

@@ -18,9 +18,10 @@ import (
 // span in the obs ring buffer, so slimpad -trace shows the store's recent
 // manipulation history.
 //
-// Nested reads count too: a DMI Set re-Gets the instance to learn its
-// construct, and that inner Get records itself — which is exactly the
-// interpretation overhead the paper prices.
+// A write's reads count in the TRIM layer, not as DMI ops: a Set or Add
+// learns the instance's construct from one rdf:type select, which records
+// as a trim.select under the write's span, and runs no Get. A Create still
+// ends in a Get of the new instance, which records itself as dmi.get.
 var (
 	mTriplesTouched = obs.C(obs.NameSlimTriplesTouched)
 	mTriplesPerOp   = obs.HSize(obs.NameSlimTriplesPerOp)

@@ -77,3 +77,28 @@ func TestDMIGetAllocations(t *testing.T) {
 		t.Errorf("DMI Get allocates %v times, want at most %d", got, want)
 	}
 }
+
+// TestDMISetAllocations guards a DMI write's allocation count. Of the 10,
+// the instrumentation's share is three spans: the op's, its rdf:type
+// select's and its batch apply's. The staged Set is one more. The rest is
+// the store's: this store holds its bundle's one bundleName triple, so each
+// Set frees the predicate's cardinality entry and builds it again. It was
+// 18, when Set ran a whole Get (an Object, a span and a result slice), the
+// apply selected the old value into a fresh slice and grew its undo log
+// from nil, and each apply formatted its span detail.
+func TestDMISetAllocations(t *testing.T) {
+	d := newBundleScrapDMI(t)
+	obj, err := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 10
+	got := testing.AllocsPerRun(100, func() {
+		if err := d.Set(obj.ID, metamodel.ConnBundleName, "renamed"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Errorf("DMI Set allocates %v times, want at most %d", got, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/metamodel"
@@ -157,6 +158,43 @@ func TestAddRespectsCardinality(t *testing.T) {
 	got, _ := d.Get(b1.ID)
 	if len(got.All(metamodel.ConnNestedBundle)) != 5 {
 		t.Fatalf("nested = %d", len(got.All(metamodel.ConnNestedBundle)))
+	}
+}
+
+// TestConcurrentAddKeepsMaxCard: two Adds racing for a connector with room
+// for one value leave one value. The bound is checked in the lock hold that
+// stores the value; checked in a hold of its own, both Adds could count
+// zero values and both store one.
+func TestConcurrentAddKeepsMaxCard(t *testing.T) {
+	d := newBundleScrapDMI(t)
+	pad, _ := d.Create(metamodel.ConstructSlimPad, map[string]any{metamodel.ConnPadName: "Rounds"})
+	b1, _ := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: "b1"})
+	b2, _ := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: "b2"})
+	root := rdf.P(pad.ID, rdf.IRI(metamodel.ConnRootBundle), rdf.Zero)
+	for round := 0; round < 2000; round++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var errs [2]error
+		for i, b := range []*Object{b1, b2} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = d.Add(pad.ID, metamodel.ConnRootBundle, b)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		roots := d.Trim().Select(root)
+		if len(roots) != 1 {
+			t.Fatalf("round %d: %d root bundles (errors %v, %v), want 1", round, len(roots), errs[0], errs[1])
+		}
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("round %d: errors %v, %v; want exactly one Add refused", round, errs[0], errs[1])
+		}
+		if err := d.Unset(pad.ID, metamodel.ConnRootBundle, roots[0].Object); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -2,8 +2,11 @@ package slimpad
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // Concurrent pad manipulation: multiple clinicians working on one shared
@@ -83,5 +86,63 @@ func TestConcurrentPadManipulation(t *testing.T) {
 	}
 	if len(vios) != 0 {
 		t.Fatalf("violations after concurrent use: %d (first: %v)", len(vios), vios[0])
+	}
+}
+
+// TestMoveRacingDeleteLeavesNoOrphan: a move racing the delete of its
+// scrap either lands before the delete, which then removes it, or fails
+// with no instance. The move's Set requires the scrap's rdf:type triple in
+// the lock hold that writes the position; checked in a hold of its own,
+// the delete could run in between and leave a position with no scrap.
+// Each round races four pairs, so the scheduler spreads them over the
+// CPUs rather than running one goroutine of a pair to completion first.
+func TestMoveRacingDeleteLeavesNoOrphan(t *testing.T) {
+	d := newDMI(t)
+	const pairs = 4
+	for round := 0; round < 250; round++ {
+		var scraps [pairs]Scrap
+		for i := range scraps {
+			s, err := d.CreateScrap(fmt.Sprintf("s%d-%d", round, i), Coordinate{}, fmt.Sprintf("mark-%d-%d", round, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scraps[i] = s
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var moveErrs, deleteErrs [pairs]error
+		for i, s := range scraps {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				moveErrs[i] = d.MoveScrap(s.ID(), Coordinate{X: round, Y: i})
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				deleteErrs[i] = d.DeleteScrap(s.ID())
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, s := range scraps {
+			if deleteErrs[i] != nil {
+				t.Fatalf("round %d: delete: %v", round, deleteErrs[i])
+			}
+			if left := d.Store().Trim().Select(rdf.P(s.ID(), rdf.Zero, rdf.Zero)); len(left) != 0 {
+				t.Fatalf("round %d: %d triples left of the deleted scrap (move error %v): %v", round, len(left), moveErrs[i], left)
+			}
+			if err := moveErrs[i]; err != nil && !strings.Contains(err.Error(), "no instance") {
+				t.Fatalf("round %d: move: %v, want nil or no instance", round, err)
+			}
+		}
+	}
+	vios, err := d.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vios) != 0 {
+		t.Fatalf("%d violations after racing moves and deletes (first: %v)", len(vios), vios[0])
 	}
 }

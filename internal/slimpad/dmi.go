@@ -90,7 +90,7 @@ func (d *DMI) CreateScrap(name string, pos Coordinate, markID string) (Scrap, er
 	if err != nil {
 		return nil, err
 	}
-	return d.Scrap(obj.ID)
+	return d.scrapOf(obj)
 }
 
 // AddScrapMark attaches an additional mark to an existing scrap (the

@@ -20,7 +20,18 @@ type Batch struct {
 	// removePatterns are expanded at apply time under the lock, so the batch
 	// removes exactly what exists at commit, not at staging.
 	removePatterns []rdf.Pattern
+	sets           []setOp
 	done           bool
+}
+
+// setOp is a staged Set: the triple to store and the triple it requires
+// (zero for none).
+type setOp struct{ t, requires rdf.Triple }
+
+// undo is one entry of an apply's undo log: the inverse of one change.
+type undo struct {
+	t     rdf.Triple
+	readd bool // true: re-add removed triple; false: remove added triple
 }
 
 // NewBatch starts an empty batch against the manager.
@@ -67,13 +78,34 @@ func (b *Batch) RemoveMatching(p rdf.Pattern) error {
 	return nil
 }
 
-// Len returns the number of staged operations (patterns count as one each).
-func (b *Batch) Len() int {
-	return len(b.creates) + len(b.removes) + len(b.removePatterns)
+// Set stages replacing every value of t's subject and predicate with t's
+// object. At apply, the subject's triples with that predicate are removed
+// in (predicate, object) order and t is created, so observers see those
+// removes and then one create. Unless requires is the zero triple, it must
+// be stored when the Set applies, or the apply fails with ErrGuard and the
+// store is unchanged. t is validated here.
+//
+// slimvet:noobs staging only; Apply records trim.batch.*.
+func (b *Batch) Set(t, requires rdf.Triple) error {
+	if b.done {
+		return fmt.Errorf("trim: batch already finished")
+	}
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("trim: batch create: %w", err)
+	}
+	b.sets = append(b.sets, setOp{t: t, requires: requires})
+	return nil
 }
 
-// Apply executes all staged operations under one lock acquisition. Removes
-// run before creates so a batch can replace a property value. On any error
+// Len returns the number of staged operations. A pattern counts as one, a
+// Set as two: the remove and the create it stands for.
+func (b *Batch) Len() int {
+	return len(b.creates) + len(b.removes) + len(b.removePatterns) + 2*len(b.sets)
+}
+
+// Apply executes all staged operations under one lock acquisition: pattern
+// removes, exact removes, creates, then Sets in staging order. Removes run
+// before creates so a batch can replace a property value. On any error
 // every already-applied operation is rolled back and the store is unchanged.
 func (b *Batch) Apply() error {
 	return b.apply(nil)
@@ -107,27 +139,10 @@ func (b *Batch) apply(sp *obs.Span) error {
 }
 
 // applyLocked runs the staged operations under the caller-held store lock.
+// Staging validated every triple, so only a Set's requirement can fail.
 func (b *Batch) applyLocked(m *Manager) error {
-	// Undo log: inverse operations in reverse order.
-	type undo struct {
-		t     rdf.Triple
-		readd bool // true: re-add removed triple; false: remove added triple
-	}
-	var log []undo
-	rollback := func() {
-		for i := len(log) - 1; i >= 0; i-- {
-			u := log[i]
-			if u.readd {
-				// Re-adding a previously stored triple cannot fail validation.
-				if _, err := m.createLocked(u.t); err != nil {
-					panic(fmt.Sprintf("trim: rollback re-add failed: %v", err))
-				}
-			} else {
-				m.removeLocked(u.t)
-			}
-		}
-	}
-
+	var buf [4]undo
+	log := buf[:0]
 	for _, p := range b.removePatterns {
 		for _, t := range m.selectLocked(p) {
 			if m.removeLocked(t) {
@@ -141,20 +156,34 @@ func (b *Batch) applyLocked(m *Manager) error {
 		}
 	}
 	for _, t := range b.creates {
-		added, err := m.createLocked(t)
-		if err != nil {
-			rollback()
-			return fmt.Errorf("trim: batch apply: %w", err)
+		if m.createLocked(t) {
+			log = append(log, undo{t: t})
 		}
-		if added {
-			log = append(log, undo{t: t, readd: false})
+	}
+	for _, op := range b.sets {
+		var err error
+		if log, err = m.setLocked(op, log); err != nil {
+			m.rollbackLocked(log)
+			return fmt.Errorf("trim: batch apply: %w", err)
 		}
 	}
 	return nil
 }
 
+// rollbackLocked undoes an apply's changes, newest first, under the held
+// store lock.
+func (m *Manager) rollbackLocked(log []undo) {
+	for i := len(log) - 1; i >= 0; i-- {
+		if u := log[i]; u.readd {
+			m.createLocked(u.t)
+		} else {
+			m.removeLocked(u.t)
+		}
+	}
+}
+
 // Discard abandons the batch without touching the store.
 func (b *Batch) Discard() {
 	b.done = true
-	b.creates, b.removes, b.removePatterns = nil, nil, nil
+	b.creates, b.removes, b.removePatterns, b.sets = nil, nil, nil, nil
 }

@@ -1,6 +1,8 @@
 package trim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -136,7 +138,9 @@ func runModel(t *testing.T, tape []byte) {
 // ops that notify no observer (Replace, Clear).
 func (r *modelRun) step(tp *opTape) (name string, bulk bool) {
 	m, want := r.m, r.want
-	switch tp.next(16) {
+	// Op codes below 16 decode as they did before the guarded create took
+	// code 16, so the committed tapes keep their ops.
+	switch tp.next(17) {
 	case 0, 1, 2, 3, 4, 5, 6, 7:
 		x := tp.triple()
 		_, had := want[x]
@@ -193,6 +197,29 @@ func (r *modelRun) step(tp *opTape) (name string, bulk bool) {
 		return fmt.Sprintf("set unique %v %v %v", s, p, o), false
 	case 14:
 		return r.batch(tp), false
+	case 16:
+		x, req, max := tp.triple(), r.requirement(tp), tp.next(4)-1
+		_, had := want[x]
+		_, met := want[req]
+		n := len(modelSelect(want, rdf.P(x.Subject, x.Predicate, rdf.Zero)))
+		added, err := m.CreateGuardedCtx(context.Background(), x, req, max)
+		var full *LimitError
+		switch {
+		case req != (rdf.Triple{}) && !met:
+			if added || !errors.Is(err, ErrGuard) {
+				r.t.Fatalf("CreateGuarded(%v) requiring absent %v = %v, %v", x, req, added, err)
+			}
+		case max >= 0 && n >= max:
+			if added || !errors.As(err, &full) || *full != (LimitError{Have: n, Max: max}) {
+				r.t.Fatalf("CreateGuarded(%v) over %d values, max %d = %v, %v", x, n, max, added, err)
+			}
+		default:
+			if err != nil || added == had {
+				r.t.Fatalf("CreateGuarded(%v) = %v, %v; model had it: %v", x, added, err, had)
+			}
+			want[x] = struct{}{}
+		}
+		return fmt.Sprintf("guarded create %v requiring %v max %d", x, req, max), false
 	default:
 		if tp.next(4) == 0 {
 			m.Clear()
@@ -210,14 +237,15 @@ func (r *modelRun) step(tp *opTape) (name string, bulk bool) {
 	}
 }
 
-// batch stages a few creates (some invalid), removes and pattern removes,
-// then applies or discards them.
+// batch stages a few creates (some invalid), removes, pattern removes and
+// Sets, then applies or discards them.
 func (r *modelRun) batch(tp *opTape) string {
 	b := r.m.NewBatch()
 	var creates, removes []rdf.Triple
 	var patterns []rdf.Pattern
+	var sets []setOp
 	for k := tp.next(5); k > 0; k-- {
-		switch tp.next(4) {
+		switch tp.next(5) {
 		case 0:
 			x := tp.triple()
 			if err := b.Create(x); err != nil {
@@ -234,37 +262,80 @@ func (r *modelRun) batch(tp *opTape) string {
 				r.t.Fatalf("batch Remove(%v): %v", x, err)
 			}
 			removes = append(removes, x)
-		default:
+		case 3:
 			p := tp.pattern()
 			if err := b.RemoveMatching(p); err != nil {
 				r.t.Fatalf("batch RemoveMatching(%v): %v", p, err)
 			}
 			patterns = append(patterns, p)
+		default:
+			op := setOp{t: tp.triple(), requires: r.requirement(tp)}
+			if err := b.Set(op.t, op.requires); err != nil {
+				r.t.Fatalf("batch Set(%v): %v", op.t, err)
+			}
+			sets = append(sets, op)
 		}
 	}
-	if b.Len() != len(creates)+len(removes)+len(patterns) {
-		r.t.Fatalf("batch Len = %d, staged %d", b.Len(), len(creates)+len(removes)+len(patterns))
+	staged := len(creates) + len(removes) + len(patterns) + 2*len(sets)
+	if b.Len() != staged {
+		r.t.Fatalf("batch Len = %d, staged %d", b.Len(), staged)
 	}
 	if tp.next(4) == 0 {
 		b.Discard()
 		return "batch discard"
 	}
-	if err := b.Apply(); err != nil {
-		r.t.Fatalf("batch Apply: %v", err)
-	}
-	// Apply order: pattern removes, exact removes, then creates.
+	// Apply order: pattern removes, exact removes, creates, then Sets; a
+	// Set whose requirement is absent by then fails the whole batch.
+	next := cloneModel(r.want)
 	for _, p := range patterns {
-		for _, x := range modelSelect(r.want, p) {
-			delete(r.want, x)
+		for _, x := range modelSelect(next, p) {
+			delete(next, x)
 		}
 	}
 	for _, x := range removes {
-		delete(r.want, x)
+		delete(next, x)
 	}
 	for _, x := range creates {
-		r.want[x] = struct{}{}
+		next[x] = struct{}{}
 	}
-	return fmt.Sprintf("batch apply (%d)", len(creates)+len(removes)+len(patterns))
+	refused := false
+	for _, op := range sets {
+		if _, met := next[op.requires]; op.requires != (rdf.Triple{}) && !met {
+			refused = true
+			break
+		}
+		for _, x := range modelSelect(next, rdf.P(op.t.Subject, op.t.Predicate, rdf.Zero)) {
+			delete(next, x)
+		}
+		next[op.t] = struct{}{}
+	}
+	err := b.Apply()
+	if refused {
+		if !errors.Is(err, ErrGuard) {
+			r.t.Fatalf("batch Apply with an absent requirement: %v", err)
+		}
+		return fmt.Sprintf("batch refused (%d)", staged)
+	}
+	if err != nil {
+		r.t.Fatalf("batch Apply: %v", err)
+	}
+	r.want = next
+	return fmt.Sprintf("batch apply (%d)", staged)
+}
+
+// requirement decodes a guarded write's required triple: none, a stored
+// triple (met unless an earlier op of its batch removes it), or any triple
+// of the universe (mostly absent).
+func (r *modelRun) requirement(tp *opTape) rdf.Triple {
+	switch tp.next(3) {
+	case 0:
+		return rdf.Triple{}
+	case 1:
+		if all := sortedModel(r.want); len(all) > 0 {
+			return all[tp.next(len(all))]
+		}
+	}
+	return tp.triple()
 }
 
 // checkGeneration pins the generation contract: an op that touched no

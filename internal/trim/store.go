@@ -256,17 +256,45 @@ func (s *store) saveCopy() (terms []rdf.Term, ids []idTriple, runs []subjectRun)
 	return terms, ids, runs
 }
 
-// remove deletes a triple, reporting whether it was stored. Its subject's
-// list closes the gap it leaves, its predicate's and object's lists each
-// move their last entry into its slot, the last row moves into its row
-// slot, and a term left in no triple frees its id.
+// predRun returns the bounds [i, j) of the entries with predicate p in
+// subject sid's ordered list. With no such entry, i is where one would go.
+// sid may be noID, and p need not be in the dictionary: the run is empty.
+func (s *store) predRun(sid int32, p rdf.Term) (i, j int) {
+	if sid == noID {
+		return 0, 0
+	}
+	list := s.dict[sid].post[posS]
+	pid := s.lookup(p)
+	i, _ = slices.BinarySearchFunc(list, p, func(r int32, p rdf.Term) int {
+		if q := s.rows[r].ids[posP]; q != pid {
+			return s.term(q).Compare(p)
+		}
+		return 0
+	})
+	j = i
+	for j < len(list) && s.rows[list[j]].ids[posP] == pid {
+		j++
+	}
+	return i, j
+}
+
+// remove deletes a triple, reporting whether it was stored.
 func (s *store) remove(t rdf.Triple) bool {
 	r, ok := s.find(t)
 	if !ok {
 		return false
 	}
+	i, _ := s.subjectSlot(s.rows[r].ids)
+	s.removeRow(r, i)
+	return true
+}
+
+// removeRow deletes row r, which sits at index i of its subject's list.
+// That list closes the gap it leaves, its predicate's and object's lists
+// each move their last entry into its slot, the last row moves into its
+// row slot, and a term left in no triple frees its id.
+func (s *store) removeRow(r int32, i int) {
 	gone := s.rows[r]
-	i, _ := s.subjectSlot(gone.ids)
 	subj := &s.dict[gone.ids[posS]].post[posS]
 	*subj = slices.Delete(*subj, i, i+1)
 	for pos := posP; pos <= posO; pos++ {
@@ -293,7 +321,6 @@ func (s *store) remove(t rdf.Triple) bool {
 	for _, id := range gone.ids {
 		s.release(id)
 	}
-	return true
 }
 
 // release frees a live id that no triple carries any more.

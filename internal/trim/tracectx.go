@@ -96,7 +96,7 @@ func (c clock) finishQuery(sp *obs.Span, e *Explain, explain bool) {
 // CreateCtx is Create with the caller's trace attached.
 func (m *Manager) CreateCtx(ctx context.Context, t rdf.Triple) (created bool, err error) {
 	_, sp := obs.StartCtx(ctx, "trim.create", "")
-	return m.create(sp, t)
+	return m.create(sp, t, rdf.Triple{}, -1)
 }
 
 // RemoveCtx is Remove with the caller's trace attached.
@@ -115,8 +115,15 @@ func (m *Manager) RemoveMatchingCtx(ctx context.Context, p rdf.Pattern) int {
 
 // SelectCtx is Select with the caller's trace attached.
 func (m *Manager) SelectCtx(ctx context.Context, p rdf.Pattern) []rdf.Triple {
+	return m.SelectBufCtx(ctx, p, nil)
+}
+
+// SelectBufCtx is SelectCtx with the result in buf's storage when it has
+// room (buf is empty): a caller expecting a few matches passes a stack
+// array and allocates no result, as One does.
+func (m *Manager) SelectBufCtx(ctx context.Context, p rdf.Pattern, buf []rdf.Triple) []rdf.Triple {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	out, _ := m.selectQuery(sp, p, nil, false, nil)
+	out, _ := m.selectQuery(sp, p, nil, false, buf)
 	return out
 }
 
@@ -151,6 +158,18 @@ func (m *Manager) PathExplainCtx(ctx context.Context, start []rdf.Term, predicat
 // ApplyCtx is Apply with the caller's trace attached: the whole atomic
 // batch becomes one span carrying its op count.
 func (b *Batch) ApplyCtx(ctx context.Context) error {
-	_, sp := obs.StartCtx(ctx, "trim.batch.apply", fmt.Sprintf("ops=%d", b.Len()))
+	_, sp := obs.StartCtx(ctx, "trim.batch.apply", opsDetail(b.Len()))
 	return b.apply(sp)
+}
+
+// smallOps are the span details of batches of up to eight ops, which a DMI
+// write stages, so that applying one formats nothing.
+var smallOps = [...]string{"ops=0", "ops=1", "ops=2", "ops=3", "ops=4", "ops=5", "ops=6", "ops=7", "ops=8"}
+
+// opsDetail is a batch span's detail: its op count.
+func opsDetail(n int) string {
+	if n < len(smallOps) {
+		return smallOps[n]
+	}
+	return fmt.Sprintf("ops=%d", n)
 }

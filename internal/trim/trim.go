@@ -11,6 +11,8 @@
 package trim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -74,17 +76,46 @@ func NewManager() *Manager {
 // a triple already present is a no-op returning false, matching the set
 // semantics of the underlying graph.
 func (m *Manager) Create(t rdf.Triple) (bool, error) {
-	return m.create(nil, t)
+	return m.create(nil, t, rdf.Triple{}, -1)
 }
 
-// create is Create traced by sp (nil for none), which it finishes.
-func (m *Manager) create(sp *obs.Span, t rdf.Triple) (bool, error) {
+// ErrGuard fails a guarded write whose required triple was not stored when
+// it committed. The write changed nothing.
+var ErrGuard = errors.New("trim: required triple not stored")
+
+// LimitError fails a guarded create whose subject already held Max or more
+// values of its predicate. The create changed nothing.
+type LimitError struct{ Have, Max int }
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("trim: %d values stored, max %d", e.Have, e.Max)
+}
+
+// CreateGuardedCtx is CreateCtx for a write that must still hold when it
+// commits. Unless requires is the zero triple, it must be stored, or the
+// create fails with ErrGuard; unless max is negative, t's subject must hold
+// fewer than max values of t's predicate, or the create fails with a
+// *LimitError. Both are checked in the lock hold that stores t.
+func (m *Manager) CreateGuardedCtx(ctx context.Context, t, requires rdf.Triple, max int) (bool, error) {
+	_, sp := obs.StartCtx(ctx, "trim.create", "")
+	return m.create(sp, t, requires, max)
+}
+
+// create is CreateGuardedCtx traced by sp (nil for none), which it
+// finishes. The triple is validated before the lock is taken.
+func (m *Manager) create(sp *obs.Span, t, requires rdf.Triple, max int) (added bool, err error) {
 	c := startClock(sp)
-	m.mu.Lock()
-	added, err := m.createLocked(t)
-	events, targets := m.drainLocked()
-	m.mu.Unlock()
-	m.deliver(targets, events)
+	if err = t.Validate(); err != nil {
+		err = fmt.Errorf("trim: create: %w", err)
+	} else {
+		m.mu.Lock()
+		if err = m.guardLocked(t, requires, max); err == nil {
+			added = m.createLocked(t)
+		}
+		events, targets := m.drainLocked()
+		m.mu.Unlock()
+		m.deliver(targets, events)
+	}
 	d := c.elapsed()
 	mCreateNS.Observe(int64(d))
 	mCreateTotal.Inc()
@@ -98,16 +129,61 @@ func (m *Manager) create(sp *obs.Span, t rdf.Triple) (bool, error) {
 	return added, err
 }
 
-func (m *Manager) createLocked(t rdf.Triple) (bool, error) {
-	if err := t.Validate(); err != nil {
-		return false, fmt.Errorf("trim: create: %w", err)
+// guardLocked checks a guarded write against the store under the held
+// lock: requires, unless zero, is stored, and t's subject holds fewer than
+// max values of t's predicate, unless max is negative.
+func (m *Manager) guardLocked(t, requires rdf.Triple, max int) error {
+	if requires != (rdf.Triple{}) {
+		if _, ok := m.st.find(requires); !ok {
+			return ErrGuard
+		}
 	}
+	if max >= 0 {
+		i, j := m.st.predRun(m.st.lookup(t.Subject), t.Predicate)
+		if j-i >= max {
+			return &LimitError{Have: j - i, Max: max}
+		}
+	}
+	return nil
+}
+
+// createLocked stores a validated triple, reporting whether it was new.
+func (m *Manager) createLocked(t rdf.Triple) bool {
 	if !m.st.add(t) {
-		return false, nil
+		return false
 	}
 	m.generation++
 	m.queueNotifyLocked(t, true)
-	return true, nil
+	return true
+}
+
+// setLocked applies a staged Set under the held lock: it checks the
+// requirement, removes the subject's run of the predicate in list order,
+// and stores the new triple where the run was. Each change goes on the
+// undo log, which it returns; a failed requirement changes nothing.
+func (m *Manager) setLocked(op setOp, log []undo) ([]undo, error) {
+	if err := m.guardLocked(op.t, op.requires, -1); err != nil {
+		return log, err
+	}
+	st := &m.st
+	sid := st.lookup(op.t.Subject)
+	i, j := st.predRun(sid, op.t.Predicate)
+	for ; j > i; j-- {
+		// The run's next entry closes up to index i; a subject freed by
+		// the last remove is not read again.
+		r := st.dict[sid].post[posS][i]
+		gone := st.triple(r)
+		st.removeRow(r, i)
+		m.generation++
+		m.queueNotifyLocked(gone, false)
+		log = append(log, undo{t: gone, readd: true})
+	}
+	// Index i still sorts the triple into its subject's list: everything
+	// before it has a smaller predicate, everything after a larger one.
+	st.place(idTriple{st.intern(op.t.Subject), st.intern(op.t.Predicate), st.intern(op.t.Object)}, i)
+	m.generation++
+	m.queueNotifyLocked(op.t, true)
+	return append(log, undo{t: op.t}), nil
 }
 
 // Remove deletes an exact triple, reporting whether it was present.
@@ -280,18 +356,15 @@ func (m *Manager) Subjects(predicate, object rdf.Term) []rdf.Term {
 }
 
 // SetUnique replaces all triples (subject, predicate, *) with the single
-// triple (subject, predicate, object): the write primitive behind the DMI's
-// Update_ operations.
+// triple (subject, predicate, object): a batch of one Set, with no
+// requirement. The DMI's Update_ operations stage the same Set, requiring
+// the instance's rdf:type triple.
 func (m *Manager) SetUnique(subject, predicate, object rdf.Term) error {
-	m.mu.Lock()
-	for _, t := range m.selectLocked(rdf.P(subject, predicate, rdf.Zero)) {
-		m.removeLocked(t)
+	b := m.NewBatch()
+	if err := b.Set(rdf.T(subject, predicate, object), rdf.Triple{}); err != nil {
+		return err
 	}
-	_, err := m.createLocked(rdf.T(subject, predicate, object))
-	events, targets := m.drainLocked()
-	m.mu.Unlock()
-	m.deliver(targets, events)
-	return err
+	return b.Apply()
 }
 
 // Snapshot returns an independent copy of the entire graph.

@@ -7,6 +7,10 @@
 set -eux
 
 go vet ./...
+# Gating gofmt lane: the tracked Go files only (so .bench_build/ is not
+# scanned); any file gofmt lists fails CI.
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+test -z "$unformatted" || { echo "gofmt -l lists: $unformatted"; exit 1; }
 # Gating zero-baseline lane: every analyzer, the four concurrency-safety
 # ones included, on every package, with no baseline at all — any finding
 # anywhere fails CI.
