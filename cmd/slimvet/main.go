@@ -1,7 +1,7 @@
 // Command slimvet runs SLIM's convention analyzers (internal/analysis) over
-// the module's packages and gates on findings not covered by the committed
-// baseline. It is the third standing CI lane next to the race tests and the
-// fault sweep: `make lint` (docs/STATIC_ANALYSIS.md).
+// the module's packages and gates on any finding. It is the third standing
+// CI lane next to the race tests and the fault sweep: `make lint`
+// (docs/STATIC_ANALYSIS.md).
 //
 // Usage:
 //
@@ -11,12 +11,10 @@
 //	slimvet -list                  # describe the analyzers
 //	slimvet -disable ctxflow ./... # run all but one analyzer
 //	slimvet -json ./...            # machine-readable report
-//	slimvet -update-baseline ./... # accept current findings as debt
 //
-// Exit status: 0 when clean against the baseline, 1 when new findings (or
-// stale baseline entries) exist, 2 on usage or load errors. Package
-// patterns are module-root-relative; slimvet can run from any directory
-// inside the module.
+// Exit status: 0 when clean, 1 when any finding exists, 2 on usage or load
+// errors. Package patterns are module-root-relative; slimvet can run from
+// any directory inside the module.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -41,15 +38,8 @@ func main() {
 type report struct {
 	Module    string   `json:"module"`
 	Analyzers []string `json:"analyzers"`
-	// Diagnostics is every finding, baselined or not.
+	// Diagnostics is every finding; any one fails the run.
 	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-	// New is the gating subset: findings beyond the baseline.
-	New []analysis.Diagnostic `json:"new"`
-	// Stale is baseline debt that no longer exists and must be removed
-	// (run -update-baseline).
-	Stale []analysis.BaselineEntry `json:"stale"`
-	// Baseline is the module-root-relative baseline path consulted.
-	Baseline string `json:"baseline"`
 	// Files is the number of source files analyzed.
 	Files int `json:"files"`
 	// Suppressed counts findings silenced by slimvet:ignore annotations.
@@ -63,13 +53,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("slimvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut        = fs.Bool("json", false, "emit the report as JSON")
-		enable         = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable        = fs.String("disable", "", "comma-separated analyzers to skip")
-		baselinePath   = fs.String("baseline", "slimvet.baseline.json", "baseline file, relative to the module root (\"\" disables baselining)")
-		updateBaseline = fs.Bool("update-baseline", false, "rewrite the baseline to accept all current findings")
-		list           = fs.Bool("list", false, "list the analyzers and exit")
-		verbose        = fs.Bool("v", false, "print a one-line run summary (files, findings, suppressed, baselined, per-analyzer time) to stderr")
+		jsonOut = fs.Bool("json", false, "emit the report as JSON")
+		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable = fs.String("disable", "", "comma-separated analyzers to skip")
+		list    = fs.Bool("list", false, "list the analyzers and exit")
+		verbose = fs.Bool("v", false, "print a one-line run summary (files, findings, suppressed, per-analyzer time) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -108,32 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(stderr, "slimvet: -update-baseline needs a -baseline path")
-			return 2
-		}
-		path := filepath.Join(loader.ModuleRoot, *baselinePath)
-		if err := analysis.NewBaseline(diags).Save(path); err != nil {
-			fmt.Fprintln(stderr, "slimvet:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "slimvet: baseline %s updated with %d finding(s)\n", *baselinePath, len(diags))
-		return 0
-	}
-
-	baseline := &analysis.Baseline{}
-	if *baselinePath != "" {
-		baseline, err = analysis.LoadBaseline(filepath.Join(loader.ModuleRoot, *baselinePath))
-		if err != nil {
-			fmt.Fprintln(stderr, "slimvet:", err)
-			return 2
-		}
-	}
-	fresh, stale := baseline.Apply(diags)
-
 	if *verbose {
-		fmt.Fprintln(stderr, summaryLine(len(pkgs), runInfo, diags, fresh, stale))
+		fmt.Fprintln(stderr, summaryLine(len(pkgs), runInfo, diags))
 	}
 
 	if *jsonOut {
@@ -145,9 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Module:      loader.ModulePath,
 			Analyzers:   names,
 			Diagnostics: diags,
-			New:         fresh,
-			Stale:       stale,
-			Baseline:    *baselinePath,
 			Files:       runInfo.Files,
 			Suppressed:  runInfo.Suppressed,
 			TimingNS:    runInfo.AnalyzerNS,
@@ -159,18 +120,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Fprintln(stdout, d.String())
 		}
-		for _, e := range stale {
-			fmt.Fprintf(stdout, "stale baseline entry (fixed? run -update-baseline): %s\n", e.String())
-		}
-		if len(fresh) == 0 && len(stale) == 0 {
-			fmt.Fprintf(stdout, "slimvet: %d package(s) clean (%d baselined finding(s))\n",
-				len(pkgs), len(diags))
+		if len(diags) == 0 {
+			fmt.Fprintf(stdout, "slimvet: %d package(s) clean\n", len(pkgs))
 		}
 	}
-	if len(fresh) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
@@ -178,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // summaryLine renders the -v one-liner: enough to watch lint cost and
 // suppression creep without parsing the JSON report.
-func summaryLine(pkgs int, info analysis.RunInfo, diags, fresh []analysis.Diagnostic, stale []analysis.BaselineEntry) string {
+func summaryLine(pkgs int, info analysis.RunInfo, diags []analysis.Diagnostic) string {
 	names := make([]string, 0, len(info.AnalyzerNS))
 	var totalNS int64
 	for name, ns := range info.AnalyzerNS {
@@ -193,8 +150,8 @@ func summaryLine(pkgs int, info analysis.RunInfo, diags, fresh []analysis.Diagno
 		}
 		fmt.Fprintf(&times, "%s=%dms", name, info.AnalyzerNS[name]/1e6)
 	}
-	return fmt.Sprintf("slimvet: %d package(s), %d file(s): %d finding(s) (%d baselined, %d new, %d stale, %d suppressed) in %dms [%s]",
-		pkgs, info.Files, len(diags), len(diags)-len(fresh), len(fresh), len(stale), info.Suppressed, totalNS/1e6, times.String())
+	return fmt.Sprintf("slimvet: %d package(s), %d file(s): %d finding(s) (%d suppressed) in %dms [%s]",
+		pkgs, info.Files, len(diags), info.Suppressed, totalNS/1e6, times.String())
 }
 
 // selectAnalyzers applies -enable/-disable to the registry.

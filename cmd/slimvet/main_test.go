@@ -47,11 +47,11 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 	}
 }
 
-// TestSeededViolationsFailTextMode pins the gating behavior: with the
-// baseline disabled, known violations exit non-zero and print
-// file:line:col plus the analyzer name.
+// TestSeededViolationsFailTextMode pins the gating behavior: known
+// violations exit non-zero and print file:line:col plus the analyzer
+// name.
 func TestSeededViolationsFailTextMode(t *testing.T) {
-	code, stdout, stderr := runDriver(t, "-baseline", "", debtPkg)
+	code, stdout, stderr := runDriver(t, debtPkg)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
 	}
@@ -62,10 +62,10 @@ func TestSeededViolationsFailTextMode(t *testing.T) {
 }
 
 // TestJSONReportShape pins the -json contract documented in
-// docs/STATIC_ANALYSIS.md: module, analyzers, diagnostics, new, stale,
-// baseline.
+// docs/STATIC_ANALYSIS.md: module, analyzers, diagnostics, files,
+// suppressed, timing.
 func TestJSONReportShape(t *testing.T) {
-	code, stdout, stderr := runDriver(t, "-json", "-baseline", "", debtPkg)
+	code, stdout, stderr := runDriver(t, "-json", debtPkg)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
 	}
@@ -73,9 +73,6 @@ func TestJSONReportShape(t *testing.T) {
 		Module      string            `json:"module"`
 		Analyzers   []string          `json:"analyzers"`
 		Diagnostics []json.RawMessage `json:"diagnostics"`
-		New         []json.RawMessage `json:"new"`
-		Stale       []json.RawMessage `json:"stale"`
-		Baseline    string            `json:"baseline"`
 		Files       int               `json:"files"`
 		Suppressed  *int              `json:"suppressed"`
 		TimingNS    map[string]int64  `json:"timing_ns"`
@@ -89,8 +86,8 @@ func TestJSONReportShape(t *testing.T) {
 	if len(r.Analyzers) != 10 {
 		t.Errorf("analyzers = %v, want all ten", r.Analyzers)
 	}
-	if len(r.Diagnostics) == 0 || len(r.New) == 0 {
-		t.Errorf("diagnostics/new empty; the fixture's seeded findings should appear in both")
+	if len(r.Diagnostics) == 0 {
+		t.Errorf("diagnostics empty; the fixture's seeded findings should appear")
 	}
 	if r.Files == 0 {
 		t.Errorf("files = 0; the report must count analyzed files")
@@ -101,10 +98,6 @@ func TestJSONReportShape(t *testing.T) {
 	if len(r.TimingNS) != len(r.Analyzers) {
 		t.Errorf("timing_ns has %d entries, want one per analyzer (%d): %v",
 			len(r.TimingNS), len(r.Analyzers), r.TimingNS)
-	}
-	if len(r.Diagnostics) != len(r.New) {
-		t.Errorf("with baselining disabled every finding is new: %d diagnostics vs %d new",
-			len(r.Diagnostics), len(r.New))
 	}
 	var d struct {
 		Analyzer string `json:"analyzer"`
@@ -124,15 +117,14 @@ func TestJSONReportShape(t *testing.T) {
 	}
 }
 
-// TestVerboseSummary pins the -v one-liner on stderr: package/file/finding
-// counts, the baselined/new/stale/suppressed split, and per-analyzer wall
-// time.
+// TestVerboseSummary pins the -v one-liner on stderr: package, file,
+// finding and suppressed counts, and per-analyzer wall time.
 func TestVerboseSummary(t *testing.T) {
-	code, _, stderr := runDriver(t, "-v", "-baseline", "", debtPkg)
+	code, _, stderr := runDriver(t, "-v", debtPkg)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
 	}
-	summaryRe := regexp.MustCompile(`slimvet: \d+ package\(s\), \d+ file\(s\): \d+ finding\(s\) \(\d+ baselined, \d+ new, \d+ stale, \d+ suppressed\) in \d+ms`)
+	summaryRe := regexp.MustCompile(`slimvet: \d+ package\(s\), \d+ file\(s\): \d+ finding\(s\) \(\d+ suppressed\) in \d+ms`)
 	if !summaryRe.MatchString(stderr) {
 		t.Errorf("-v summary line missing or malformed:\n%s", stderr)
 	}
@@ -141,27 +133,25 @@ func TestVerboseSummary(t *testing.T) {
 	}
 }
 
-// TestBaselineCoversDebt runs the full module against the committed
-// baseline, which is empty now that the module has no findings: the
-// driver reports clean with zero baselined findings and exits 0.
-func TestBaselineCoversDebt(t *testing.T) {
+// TestModuleIsClean runs the full module, which has no findings: the
+// driver reports it clean and exits 0.
+func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
 	code, stdout, stderr := runDriver(t, "./...")
 	if code != 0 {
-		t.Fatalf("exit %d, want 0 against the committed baseline\nstdout: %s\nstderr: %s", code, stdout, stderr)
+		t.Fatalf("exit %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "clean") || !strings.Contains(stdout, "baselined finding(s)") {
+	if !regexp.MustCompile(`^slimvet: \d+ package\(s\) clean\n$`).MatchString(stdout) {
 		t.Errorf("clean summary missing:\n%s", stdout)
 	}
 }
 
 // TestEnableRestrictsAnalyzers runs only ctxflow over the debt package:
-// the errwrap findings disappear and the run is clean even without the
-// baseline.
+// the errwrap findings disappear and the run is clean.
 func TestEnableRestrictsAnalyzers(t *testing.T) {
-	code, stdout, stderr := runDriver(t, "-json", "-baseline", "", "-enable", "ctxflow", debtPkg)
+	code, stdout, stderr := runDriver(t, "-json", "-enable", "ctxflow", debtPkg)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0 (stdout: %s, stderr: %s)", code, stdout, stderr)
 	}

@@ -25,7 +25,7 @@ import (
 )
 
 // Diagnostic is one finding, positioned in module-root-relative terms so
-// output and baselines are stable across checkouts.
+// output is stable across checkouts.
 type Diagnostic struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"` // module-root-relative, forward slashes
@@ -39,17 +39,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 }
 
-// Key is the diagnostic's baseline identity: analyzer, file, and message —
-// deliberately not the line number, so baselined debt survives unrelated
-// edits to the same file.
-func (d Diagnostic) Key() string {
-	return d.Analyzer + "\x00" + d.File + "\x00" + d.Message
-}
-
 // Analyzer is one named convention check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, baselines, and the
-	// driver's -enable/-disable flags.
+	// Name identifies the analyzer in diagnostics and the driver's
+	// -enable/-disable flags.
 	Name string
 	// Doc is a one-paragraph description shown by `slimvet -list`.
 	Doc string

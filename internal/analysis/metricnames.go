@@ -93,8 +93,7 @@ func sinkKey(fn *types.Func) string {
 }
 
 // checkMetricNameExpr walks a name argument and reports literals and
-// foreign constants. One finding per offending token keeps counts exact
-// for the baseline.
+// foreign constants, one finding per offending token.
 func checkMetricNameExpr(pass *Pass, sink *types.Func, arg ast.Expr) {
 	info := pass.Info()
 	ast.Inspect(arg, func(n ast.Node) bool {

@@ -78,21 +78,19 @@ func TestDMIGetAllocations(t *testing.T) {
 	}
 }
 
-// TestDMISetAllocations guards a DMI write's allocation count. Of the 10,
+// TestDMISetAllocations guards a DMI write's allocation count. Of the 4,
 // the instrumentation's share is three spans: the op's, its rdf:type
-// select's and its batch apply's. The staged Set is one more. The rest is
-// the store's: this store holds its bundle's one bundleName triple, so each
-// Set frees the predicate's cardinality entry and builds it again. It was
-// 18, when Set ran a whole Get (an Object, a span and a result slice), the
-// apply selected the old value into a fresh slice and grew its undo log
-// from nil, and each apply formatted its span detail.
+// select's and its batch apply's. The staged Set is the fourth. The store
+// allocates nothing: this store holds its bundle's one bundleName triple,
+// and the swap keeps the predicate's id, so its cardinality record and
+// cached shape keys stay rather than being built again on every Set.
 func TestDMISetAllocations(t *testing.T) {
 	d := newBundleScrapDMI(t)
 	obj, err := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 10
+	const want = 4
 	got := testing.AllocsPerRun(100, func() {
 		if err := d.Set(obj.ID, metamodel.ConnBundleName, "renamed"); err != nil {
 			t.Fatal(err)

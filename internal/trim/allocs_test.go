@@ -96,3 +96,30 @@ func TestSelectShapeKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestReusedPredicateIDShapeKey: a predicate's cardinality record, with
+// the shape keys it caches, goes when the predicate's id is freed, so a
+// different predicate that takes the id records its own key.
+func TestReusedPredicateIDShapeKey(t *testing.T) {
+	m := NewManager()
+	old, next := rdf.IRI("http://t/old"), rdf.IRI("http://t/next")
+	x := rdf.T(rdf.IRI("http://t/s"), old, rdf.String("o"))
+	if _, err := m.Create(x); err != nil {
+		t.Fatal(err)
+	}
+	m.Select(rdf.P(rdf.Zero, old, rdf.Zero)) // caches old's key
+	id := m.st.lookup(old)
+	m.Remove(x)
+	if _, err := m.Create(rdf.T(rdf.IRI("http://t/s2"), next, rdf.String("o2"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.st.lookup(next); got != id {
+		t.Fatalf("the new predicate took id %d, not the freed %d", got, id)
+	}
+	m.mu.RLock()
+	_, _, shape := m.selectExplainLocked(rdf.P(rdf.Zero, next, rdf.Zero), nil, nil)
+	m.mu.RUnlock()
+	if want := "select ?p? index=predicate pred=http://t/next"; shape != want {
+		t.Fatalf("shape key %q, want %q", shape, want)
+	}
+}

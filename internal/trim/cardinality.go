@@ -6,46 +6,58 @@ import (
 )
 
 // Per-predicate cardinality statistics, maintained incrementally by the
-// store's two mutation points (add/remove) so they are always exact and
-// cost O(1) per mutation. They answer the planner's question —
+// store's two mutation points (place/removeRow) so they are always exact
+// and cost O(1) per mutation. They answer the planner's question —
 // "how many rows will this pattern touch?" — per predicate instead of
 // store-wide, and feed the EXPLAIN estimated-selectivity line.
 
-// predCard tracks one predicate's live cardinality. The subject/object
-// maps refcount triples per term id so removals decrement exactly. shapes
-// caches the predicate's select shape keys (shapes.go); it stays nil until
-// the predicate's first select.
+// predCard tracks one predicate's live cardinality. subjects counts the
+// subjects holding the predicate: a subject's list is in predicate order,
+// so a triple is its subject's first or last with the predicate exactly
+// when neither neighbour there carries it. objects refcounts triples per
+// object id, since object lists are unordered. shapes caches the
+// predicate's select shape keys (shapes.go); it stays nil until the
+// predicate's first select. A record lives as long as its predicate's id
+// (release drops it), so a predicate whose last triple goes and comes
+// back, as a Set of its only value does, keeps its record and its keys.
 type predCard struct {
 	triples  int
-	subjects map[int32]int32
+	subjects int
 	objects  map[int32]int32
 	shapes   atomic.Pointer[predShapes]
 }
 
-// cardAdd records a newly stored triple.
-func (s *store) cardAdd(k idTriple) {
-	pc, ok := s.predCards[k[posP]]
+// card returns predicate p's record, making it on p's first triple.
+func (s *store) card(p int32) *predCard {
+	pc, ok := s.predCards[p]
 	if !ok {
-		pc = &predCard{subjects: make(map[int32]int32), objects: make(map[int32]int32)}
-		s.predCards[k[posP]] = pc
+		pc = &predCard{objects: make(map[int32]int32)}
+		s.predCards[p] = pc
 	}
+	return pc
+}
+
+// cardAdd records a newly stored triple; first reports whether it is its
+// subject's first with its predicate.
+func (s *store) cardAdd(k idTriple, first bool) {
+	pc := s.card(k[posP])
 	pc.triples++
-	pc.subjects[k[posS]]++
+	if first {
+		pc.subjects++
+	}
 	pc.objects[k[posO]]++
 }
 
-// cardRemove records a removed triple.
-func (s *store) cardRemove(k idTriple) {
+// cardRemove records a removed triple; last reports whether it was its
+// subject's last with its predicate.
+func (s *store) cardRemove(k idTriple, last bool) {
 	pc := s.predCards[k[posP]]
 	pc.triples--
-	if pc.subjects[k[posS]]--; pc.subjects[k[posS]] == 0 {
-		delete(pc.subjects, k[posS])
+	if last {
+		pc.subjects--
 	}
 	if pc.objects[k[posO]]--; pc.objects[k[posO]] == 0 {
 		delete(pc.objects, k[posO])
-	}
-	if pc.triples == 0 {
-		delete(s.predCards, k[posP])
 	}
 }
 
@@ -63,15 +75,19 @@ type PredicateStats struct {
 	Selectivity float64 `json:"selectivity"`
 }
 
-// predicateStatsLocked renders the cardinality table sorted by predicate.
+// predicateStatsLocked renders the cardinality table sorted by predicate:
+// the predicates some triple carries.
 func (m *Manager) predicateStatsLocked() []PredicateStats {
 	size := len(m.st.rows)
 	out := make([]PredicateStats, 0, len(m.st.predCards))
 	for pred, pc := range m.st.predCards {
+		if pc.triples == 0 {
+			continue
+		}
 		ps := PredicateStats{
 			Predicate:        m.st.term(pred).Value(),
 			Triples:          pc.triples,
-			DistinctSubjects: len(pc.subjects),
+			DistinctSubjects: pc.subjects,
 			DistinctObjects:  len(pc.objects),
 		}
 		if size > 0 {
@@ -85,10 +101,11 @@ func (m *Manager) predicateStatsLocked() []PredicateStats {
 
 // estimate is the planner's cardinality estimate for a resolved pattern:
 // expected result rows and their fraction of the store. A bound predicate
-// uses the exact per-predicate stats pc (nil when the store holds no
-// triple with it), scaled down by the mean triples-per-subject/object when
-// those positions are bound too; an unbound predicate falls back to the
-// exact posting-list sizes the planner already consults. The estimate is
+// uses the exact per-predicate stats pc (nil, or with no triples, when
+// the store holds no triple with it), scaled down by the mean
+// triples-per-subject/object when those positions are bound too; an
+// unbound predicate falls back to the exact posting-list sizes the
+// planner already consults. The estimate is
 // exact for single-position patterns and a uniformity assumption beyond
 // that.
 func (s *store) estimate(q idPattern, pc *predCard) (rows int, selectivity float64) {
@@ -102,8 +119,8 @@ func (s *store) estimate(q idPattern, pc *predCard) (rows int, selectivity float
 			return 0, 0
 		}
 		est = pc.triples
-		if q[posS] != anyID && len(pc.subjects) > 0 {
-			est = meanShare(est, len(pc.subjects))
+		if q[posS] != anyID && pc.subjects > 0 {
+			est = meanShare(est, pc.subjects)
 		}
 		if q[posO] != anyID && len(pc.objects) > 0 {
 			est = meanShare(est, len(pc.objects))

@@ -7,46 +7,6 @@ import (
 	"repro/internal/rdf"
 )
 
-// cardTruth recomputes the per-predicate cardinality table from scratch
-// and compares it against the incrementally maintained one.
-func cardTruth(t *testing.T, m *Manager) {
-	t.Helper()
-	type truth struct {
-		triples  int
-		subjects map[rdf.Term]struct{}
-		objects  map[rdf.Term]struct{}
-	}
-	want := map[rdf.Term]*truth{}
-	m.Snapshot().Each(func(tr rdf.Triple) bool {
-		tw, ok := want[tr.Predicate]
-		if !ok {
-			tw = &truth{subjects: map[rdf.Term]struct{}{}, objects: map[rdf.Term]struct{}{}}
-			want[tr.Predicate] = tw
-		}
-		tw.triples++
-		tw.subjects[tr.Subject] = struct{}{}
-		tw.objects[tr.Object] = struct{}{}
-		return true
-	})
-
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.st.predCards) != len(want) {
-		t.Fatalf("predCards tracks %d predicates, want %d", len(m.st.predCards), len(want))
-	}
-	for pred, tw := range want {
-		pc, ok := m.st.predCards[m.st.lookup(pred)]
-		if !ok {
-			t.Fatalf("predicate %v missing from predCards", pred)
-		}
-		if pc.triples != tw.triples || len(pc.subjects) != len(tw.subjects) || len(pc.objects) != len(tw.objects) {
-			t.Fatalf("predicate %v: got triples=%d subjects=%d objects=%d, want %d/%d/%d",
-				pred, pc.triples, len(pc.subjects), len(pc.objects),
-				tw.triples, len(tw.subjects), len(tw.objects))
-		}
-	}
-}
-
 // TestCardinalityCreateRemove: the stats stay exact through interleaved
 // creates, duplicate creates, and removes down to empty.
 func TestCardinalityCreateRemove(t *testing.T) {
@@ -64,23 +24,23 @@ func TestCardinalityCreateRemove(t *testing.T) {
 		}
 	}
 	m.Create(triples[0]) // duplicate: must not double-count
-	cardTruth(t, m)
+	checkLayout(t, m)
 
 	m.mu.RLock()
 	pc := m.st.predCards[m.st.lookup(rdf.IRI("http://t/p1"))]
-	if pc.triples != 3 || len(pc.subjects) != 2 || len(pc.objects) != 2 {
+	if pc.triples != 3 || pc.subjects != 2 || len(pc.objects) != 2 {
 		m.mu.RUnlock()
-		t.Fatalf("p1 card = triples=%d subjects=%d objects=%d, want 3/2/2", pc.triples, len(pc.subjects), len(pc.objects))
+		t.Fatalf("p1 card = triples=%d subjects=%d objects=%d, want 3/2/2", pc.triples, pc.subjects, len(pc.objects))
 	}
 	m.mu.RUnlock()
 
 	m.Remove(triples[1])
 	m.Remove(triples[1]) // absent remove: must not decrement
-	cardTruth(t, m)
+	checkLayout(t, m)
 	for _, x := range triples {
 		m.Remove(x)
 	}
-	cardTruth(t, m)
+	checkLayout(t, m)
 	m.mu.RLock()
 	if len(m.st.predCards) != 0 {
 		t.Fatalf("empty store still tracks %d predicates", len(m.st.predCards))
@@ -101,7 +61,7 @@ func TestCardinalityBatchAndSetUnique(t *testing.T) {
 	if err := b.Apply(); err != nil {
 		t.Fatal(err)
 	}
-	cardTruth(t, m)
+	checkLayout(t, m)
 
 	b = m.NewBatch()
 	if err := b.Remove(tr("s", "p", "a")); err != nil {
@@ -113,12 +73,12 @@ func TestCardinalityBatchAndSetUnique(t *testing.T) {
 	if err := b.Apply(); err != nil {
 		t.Fatal(err)
 	}
-	cardTruth(t, m)
+	checkLayout(t, m)
 
 	if err := m.SetUnique(rdf.IRI("http://t/s"), rdf.IRI("http://t/p"), rdf.String("only")); err != nil {
 		t.Fatal(err)
 	}
-	cardTruth(t, m)
+	checkLayout(t, m)
 }
 
 // TestCardinalityReplace: Replace rebuilds the stats from the new graph;
@@ -126,18 +86,18 @@ func TestCardinalityBatchAndSetUnique(t *testing.T) {
 func TestCardinalityReplace(t *testing.T) {
 	m := NewManager()
 	populate(m, 40)
-	cardTruth(t, m)
+	checkLayout(t, m)
 
 	g := rdf.NewGraph()
 	g.Add(tr("x", "p9", "1"))
 	g.Add(tr("y", "p9", "1"))
 	m.Replace(g)
-	cardTruth(t, m)
+	checkLayout(t, m)
 
 	m.RemoveMatching(rdf.P(rdf.Zero, rdf.IRI("http://t/p9"), rdf.Zero))
-	cardTruth(t, m)
+	checkLayout(t, m)
 	m.Clear()
-	cardTruth(t, m)
+	checkLayout(t, m)
 }
 
 // TestStatsPredicates: Stats reports the per-predicate table sorted by

@@ -5,7 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -91,6 +96,32 @@ func (tp *opTape) pattern() rdf.Pattern {
 	return p
 }
 
+// decoded decodes a store file's triples as the file reader hands them
+// to a load: each distinct term once, and one triple repeated at a
+// tape-chosen place, as a hand-written file may repeat it.
+func (tp *opTape) decoded() rdf.Interned {
+	var d rdf.Interned
+	ids := map[rdf.Term]int32{}
+	id := func(x rdf.Term) int32 {
+		i, ok := ids[x]
+		if !ok {
+			i = int32(len(d.Terms))
+			ids[x] = i
+			d.Terms = append(d.Terms, x)
+		}
+		return i
+	}
+	for k := tp.next(16); k > 0; k-- {
+		x := tp.triple()
+		d.Triples = append(d.Triples, [3]int32{id(x.Subject), id(x.Predicate), id(x.Object)})
+	}
+	if n := len(d.Triples); n > 0 {
+		repeat := d.Triples[tp.next(n)]
+		d.Triples = slices.Insert(d.Triples, tp.next(n+1), repeat)
+	}
+	return d
+}
+
 // seqEvent is one delivered SeqObserver notification.
 type seqEvent struct {
 	gen   uint64
@@ -118,12 +149,14 @@ func newModelRun(t *testing.T) *modelRun {
 }
 
 // runModel decodes the tape into ops, applies each to the Manager and the
-// model, and checks the Manager against the model after every op.
-func runModel(t *testing.T, tape []byte) {
+// model, and checks the Manager against the model after every op. It
+// returns the ops' names.
+func runModel(t *testing.T, tape []byte) []string {
 	t.Helper()
 	r := newModelRun(t)
 	r.check("initial")
 	tp := &opTape{b: tape}
+	var names []string
 	for n := 0; tp.more(); n++ {
 		gen := r.m.Generation()
 		r.events = r.events[:0]
@@ -131,16 +164,19 @@ func runModel(t *testing.T, tape []byte) {
 		step := fmt.Sprintf("op %d (%s)", n, name)
 		r.checkGeneration(step, gen, bulk)
 		r.check(step)
+		names = append(names, name)
 	}
+	return names
 }
 
 // step applies one decoded op to both stores and names it. bulk marks the
-// ops that notify no observer (Replace, Clear).
+// ops that notify no observer (Replace, Clear, a load).
 func (r *modelRun) step(tp *opTape) (name string, bulk bool) {
 	m, want := r.m, r.want
-	// Op codes below 16 decode as they did before the guarded create took
-	// code 16, so the committed tapes keep their ops.
-	switch tp.next(17) {
+	// No committed tape holds an op byte above 16, so each op code added
+	// last (16 the guarded create, 17 the load) leaves their ops as they
+	// were; TestCorpusTapesDecode pins them.
+	switch tp.next(18) {
 	case 0, 1, 2, 3, 4, 5, 6, 7:
 		x := tp.triple()
 		_, had := want[x]
@@ -220,6 +256,14 @@ func (r *modelRun) step(tp *opTape) (name string, bulk bool) {
 			want[x] = struct{}{}
 		}
 		return fmt.Sprintf("guarded create %v requiring %v max %d", x, req, max), false
+	case 17:
+		d := tp.decoded()
+		m.load(d)
+		r.want = model{}
+		for _, k := range d.Triples {
+			r.want[rdf.T(d.Terms[k[posS]], d.Terms[k[posP]], d.Terms[k[posO]])] = struct{}{}
+		}
+		return fmt.Sprintf("load (%d rows)", len(d.Triples)), true
 	default:
 		if tp.next(4) == 0 {
 			m.Clear()
@@ -751,4 +795,73 @@ func FuzzManagerOps(f *testing.F) {
 		}
 		runModel(t, tape)
 	})
+}
+
+// opKinds summarizes op names as each kind's count, kinds sorted: a
+// kind is a name's leading words, up to its first triple, pattern or
+// count.
+func opKinds(names []string) string {
+	counts := map[string]int{}
+	for _, name := range names {
+		var kind []string
+		for _, w := range strings.Fields(name) {
+			if strings.Trim(w, "abcdefghijklmnopqrstuvwxyz") != "" {
+				break
+			}
+			kind = append(kind, w)
+		}
+		counts[strings.Join(kind, " ")]++
+	}
+	kinds := make([]string, 0, len(counts))
+	for kind, n := range counts {
+		kinds = append(kinds, fmt.Sprintf("%s:%d", kind, n))
+	}
+	sort.Strings(kinds)
+	return strings.Join(kinds, ", ")
+}
+
+// TestCorpusTapesDecode: each committed FuzzManagerOps tape still decodes
+// to the ops it was written for, counted by kind, so a new op code cannot
+// quietly turn a tape into other ops.
+func TestCorpusTapesDecode(t *testing.T) {
+	want := map[string]string{
+		"batch-mixed":     "batch apply:2, create:14",
+		"load-repeat":     "create:1, load:3, remove hit:1, remove matching:1, remove:1, set unique:1",
+		"pred-id-reuse":   "create:2, remove:1, set unique:4",
+		"replace-clear":   "clear:1, create:4, remove hit:1, remove matching:1, remove:3, replace:2, set unique:1",
+		"set-guarded":     "batch apply:3, batch refused:1, create:4, guarded create:3, set unique:1",
+		"setunique-churn": "create:12, remove matching:1, set unique:36",
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzManagerOps")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d committed tapes, %d pinned", len(files), len(want))
+	}
+	for _, f := range files {
+		tape := readCorpusTape(t, filepath.Join(dir, f.Name()))
+		if got := opKinds(runModel(t, tape)); got != want[f.Name()] {
+			t.Errorf("%s decodes to %q, want %q", f.Name(), got, want[f.Name()])
+		}
+	}
+}
+
+// readCorpusTape reads the byte string of a committed fuzz corpus entry.
+func readCorpusTape(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, entry, ok := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	if !ok || !strings.HasPrefix(entry, "[]byte(") || !strings.HasSuffix(entry, ")") {
+		t.Fatalf("%s: not a one-value corpus entry: %q", path, data)
+	}
+	tape, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(entry, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(tape)
 }

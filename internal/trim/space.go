@@ -15,8 +15,8 @@ import (
 // per-predicate byte attribution joined with the cardinality table —
 // describe the data, whatever layout holds it. The layout figures report
 // what the interned layout (store.go) holds: the dictionary with one copy
-// of each distinct term's strings, the id triples, the posting lists per
-// index, and the cardinality table.
+// of each distinct term's strings, the rows, the posting lists per index,
+// and the cardinality table.
 //
 // Slices are counted at their capacity. Go does not expose per-map
 // footprints, so map figures are estimates from the map-geometry model
@@ -65,8 +65,9 @@ type PositionSpace struct {
 }
 
 // IndexSpace is one index: the posting lists of one triple position,
-// with a slice header per dictionary slot. Buckets counts the terms with
-// a non-empty list there, Entries the triples listed.
+// with a slice header per dictionary slot, counted at their capacity, a
+// free slot's kept storage included. Buckets counts the terms with a
+// non-empty list there, Entries the triples listed.
 type IndexSpace struct {
 	Name          string `json:"name"`
 	Buckets       int    `json:"buckets"`
@@ -110,10 +111,10 @@ type SpaceStats struct {
 	// EstimatedBytes. DictionaryBytes is the id -> term table, the
 	// term -> id map, the free-id list, and one copy of each distinct
 	// term's strings (UniqueStringBytes). TripleBytes is the rows (three
-	// ids and two posting offsets each) and the triple -> row map.
-	// IndexOverheadBytes sums the three Indexes' posting lists.
-	// CardOverheadBytes is the per-predicate cardinality table
-	// (refcounted subject/object maps).
+	// ids and two posting offsets each). IndexOverheadBytes sums the
+	// three Indexes' posting lists. CardOverheadBytes is the
+	// per-predicate cardinality table (a record per predicate id, each
+	// with its refcounted object map).
 	DictionaryBytes    int64        `json:"dictionary_bytes"`
 	TripleBytes        int64        `json:"triple_bytes"`
 	Indexes            []IndexSpace `json:"indexes"`
@@ -166,6 +167,7 @@ func (m *Manager) spaceLocked() SpaceStats {
 		b := termStringBytes(e.term)
 		live := false
 		for pos, list := range e.post {
+			s.Indexes[pos].OverheadBytes += int64(cap(list)) * idBytes
 			if len(list) == 0 {
 				continue
 			}
@@ -178,7 +180,6 @@ func (m *Manager) spaceLocked() SpaceStats {
 			ix := &s.Indexes[pos]
 			ix.Buckets++
 			ix.Entries += len(list)
-			ix.OverheadBytes += int64(cap(list)) * idBytes
 		}
 		if live {
 			s.UniqueStringBytes += b
@@ -191,16 +192,16 @@ func (m *Manager) spaceLocked() SpaceStats {
 
 	s.DictionaryBytes = int64(cap(st.dict))*termBytes + int64(cap(st.free))*idBytes +
 		mapBytes(len(st.ids), termBytes+idBytes) + s.UniqueStringBytes
-	s.TripleBytes = int64(cap(st.rows))*rowBytes + mapBytes(len(st.where), tripleBytes+idBytes)
+	s.TripleBytes = int64(cap(st.rows)) * rowBytes
 	for _, ix := range s.Indexes {
 		s.IndexOverheadBytes += ix.OverheadBytes
 	}
 	s.CardOverheadBytes = mapBytes(len(st.predCards), idBytes+wordBytes)
 	for _, pc := range st.predCards {
-		// predCard struct: int, 2 map pointers, and the shape-table pointer
-		// (the table itself is the query profiler's, not the store's).
+		// predCard struct: two ints, the object map pointer, and the
+		// shape-table pointer (the table itself is the query profiler's,
+		// not the store's).
 		s.CardOverheadBytes += 4 * wordBytes
-		s.CardOverheadBytes += mapBytes(len(pc.subjects), 2*idBytes)
 		s.CardOverheadBytes += mapBytes(len(pc.objects), 2*idBytes)
 	}
 	s.EstimatedBytes = s.DictionaryBytes + s.TripleBytes + s.IndexOverheadBytes + s.CardOverheadBytes
@@ -210,6 +211,9 @@ func (m *Manager) spaceLocked() SpaceStats {
 
 	s.Predicates = make([]PredicateSpace, 0, len(st.predCards))
 	for pred, pc := range st.predCards {
+		if pc.triples == 0 {
+			continue
+		}
 		term := st.term(pred)
 		list := st.dict[pred].post[posP]
 		bytes := int64(len(list)) * termStringBytes(term)

@@ -2,6 +2,8 @@ package trim
 
 import (
 	"math"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/rdf"
@@ -193,4 +195,30 @@ func TestMapBytesModel(t *testing.T) {
 	if one, two := mapBytes(6, 8), mapBytes(13, 8); two <= one {
 		t.Fatalf("mapBytes(13) = %d, want > mapBytes(6) = %d (bucket doubling)", two, one)
 	}
+}
+
+// TestSpaceMatchesLiveHeap: the accountant's bytes per triple for a
+// loaded pad-shaped store is within 20% of the live heap the load adds,
+// measured after a collection, so the estimate cannot drift from the
+// layout it models.
+func TestSpaceMatchesLiveHeap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pad.xml")
+	if err := padStore(14000).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewManager()
+	if err := m.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(m.Len())
+	est := m.Space().BytesPerTriple
+	if ratio := est / live; ratio < 0.8 || ratio > 1.2 {
+		t.Fatalf("%d triples: the accountant estimates %.1f B/triple, the live heap grew %.1f B/triple (%.2fx)", m.Len(), est, live, ratio)
+	}
+	t.Logf("%d triples: estimate %.1f B/triple, live heap %.1f B/triple", m.Len(), est, live)
 }

@@ -12,14 +12,15 @@ import (
 // ids, and each term keeps one posting list per triple position: the rows
 // of the triples that carry it there. A subject's list is kept in
 // (predicate, object) term order, so a select bound by subject reads its
-// result in order and sorts nothing: add and remove find a triple's slot
-// there by binary search and shift the entries after it, and a bulk load
-// appends and sorts each list once (bulk). The predicate and
-// object lists are unordered. A row records its offset in those two, so a
-// remove swap-deletes both entries without scanning a list, and no remove
-// leaves a tombstone behind. A term whose last triple is removed leaves
-// the dictionary and its id is reused, so churn through distinct values
-// (SetUnique on a counter) keeps the dictionary bounded.
+// result in order and sorts nothing, and a binary search of that list is
+// how a triple is found: add, remove and Has search it once, and add and
+// remove shift the entries after the slot. A bulk load appends and sorts
+// each list once (bulk). The predicate and object lists are unordered. A
+// row records its offset in those two, so a remove swap-deletes both
+// entries without scanning a list, and no remove leaves a tombstone
+// behind. A term whose last triple is removed leaves the dictionary and
+// its id is reused, so churn through distinct values (SetUnique on a
+// counter) keeps the dictionary bounded.
 
 // Triple positions: the index of a term in an idTriple and of a posting
 // list in an entry.
@@ -53,7 +54,8 @@ func (q idPattern) matches(k idTriple) bool {
 
 // entry is one dictionary slot: the term and, per position, the rows of
 // the triples carrying it there. A slot whose three lists are empty is
-// free and holds the zero term.
+// free and holds the zero term; it keeps its lists' storage for the next
+// term to take its id.
 type entry struct {
 	term rdf.Term
 	post [3][]int32
@@ -71,13 +73,11 @@ type row struct {
 // cardinalities (cardinality.go) kept beside them. It is not safe for
 // concurrent use; the Manager guards its store with the store lock.
 type store struct {
-	dict []entry            // id -> entry
-	ids  map[rdf.Term]int32 // live term -> id
-	free []int32            // freed ids, reused before dict grows
-	rows []row              // the triples; a remove moves the last row into the hole
-	// where finds a triple's index in rows.
-	where     map[idTriple]int32
-	predCards map[int32]*predCard // keyed by predicate id
+	dict      []entry             // id -> entry
+	ids       map[rdf.Term]int32  // live term -> id
+	free      []int32             // freed ids, reused before dict grows
+	rows      []row               // the triples; a remove moves the last row into the hole
+	predCards map[int32]*predCard // keyed by predicate id, for as long as the id is live
 }
 
 // newStore returns an empty store sized for n triples.
@@ -85,7 +85,6 @@ func newStore(n int) store {
 	return store{
 		ids:       make(map[rdf.Term]int32),
 		rows:      make([]row, 0, n),
-		where:     make(map[idTriple]int32, n),
 		predCards: make(map[int32]*predCard),
 	}
 }
@@ -107,11 +106,18 @@ func (s *store) lookup(t rdf.Term) int32 {
 	return noID
 }
 
-// find returns the row holding a triple. A term the dictionary lacks
-// looks up as noID, which no stored row carries.
-func (s *store) find(t rdf.Triple) (int32, bool) {
-	r, ok := s.where[idTriple{s.lookup(t.Subject), s.lookup(t.Predicate), s.lookup(t.Object)}]
-	return r, ok
+// find returns the row holding a triple and its slot in its subject's
+// list. A term the dictionary lacks means the triple is not stored, which
+// is decided before any list is read.
+func (s *store) find(t rdf.Triple) (r int32, i int, ok bool) {
+	k := idTriple{s.lookup(t.Subject), s.lookup(t.Predicate), s.lookup(t.Object)}
+	if k[posS] == noID || k[posP] == noID || k[posO] == noID {
+		return 0, 0, false
+	}
+	if i, ok = s.subjectSlot(k); !ok {
+		return 0, 0, false
+	}
+	return s.dict[k[posS]].post[posS][i], i, true
 }
 
 // intern returns a term's id, giving a new term a free or fresh slot.
@@ -153,23 +159,25 @@ func (s *store) subjectSlot(k idTriple) (int, bool) {
 	})
 }
 
-// add stores a valid triple, reporting whether it was new.
+// add stores a valid triple, reporting whether it was new. The search
+// that finds a stored triple finds a new one's slot.
 func (s *store) add(t rdf.Triple) bool {
 	k := idTriple{s.intern(t.Subject), s.intern(t.Predicate), s.intern(t.Object)}
-	if _, ok := s.where[k]; ok {
+	i, ok := s.subjectSlot(k)
+	if ok {
 		return false
 	}
-	i, _ := s.subjectSlot(k)
 	s.place(k, i)
 	return true
 }
 
 // place stores a new triple as the last row: at index i of its subject's
-// list, at the end of its predicate's and its object's lists, in where,
-// and in the cardinalities.
+// list, at the end of its predicate's and its object's lists, and in the
+// cardinalities.
 func (s *store) place(k idTriple, i int) {
 	r := int32(len(s.rows))
 	subj := &s.dict[k[posS]].post[posS]
+	first := s.predAt(*subj, i-1) != k[posP] && s.predAt(*subj, i) != k[posP]
 	*subj = slices.Insert(*subj, i, r)
 	rw := row{ids: k}
 	for pos := posP; pos <= posO; pos++ {
@@ -178,15 +186,26 @@ func (s *store) place(k idTriple, i int) {
 		*list = append(*list, r)
 	}
 	s.rows = append(s.rows, rw)
-	s.where[k] = r
-	s.cardAdd(k)
+	s.cardAdd(k, first)
+}
+
+// predAt returns the predicate id of the triple at index j of a subject's
+// list, or anyID when j is outside it. A triple is its subject's first or
+// last with its predicate exactly when neither neighbour carries that
+// predicate, since the list is in predicate order.
+func (s *store) predAt(list []int32, j int) int32 {
+	if j < 0 || j >= len(list) {
+		return anyID
+	}
+	return s.rows[list[j]].ids[posP]
 }
 
 // bulk builds a fresh store from triples handed over in any order, the
-// one way every load fills a store. A new triple goes at the end of each
-// of its posting lists, with its where entry and its cardinalities, and
-// done sorts each subject's list once. A load into one subject then costs
-// one sort, not a search and a shift per triple.
+// one way every load fills a store. A triple becomes a row at the end of
+// its subject's list, and done sorts each subject's list once, drops
+// repeats, and then fills the predicate and object lists and the
+// cardinalities. A load into one subject then costs one sort, not a
+// search and a shift per triple.
 type bulk struct{ st store }
 
 // newBulk returns an empty builder sized for n triples. Its dictionary
@@ -198,22 +217,76 @@ func newBulk(n int) *bulk { return &bulk{st: newStore(n)} }
 // id interns a term.
 func (b *bulk) id(t rdf.Term) int32 { return b.st.intern(t) }
 
-// add stores a triple of interned terms, unless it is stored already.
+// add stores a triple of interned terms; done drops it if it repeats one.
 func (b *bulk) add(k idTriple) {
-	if _, ok := b.st.where[k]; !ok {
-		b.st.place(k, len(b.st.dict[k[posS]].post[posS]))
-	}
+	s := &b.st
+	subj := &s.dict[k[posS]].post[posS]
+	*subj = append(*subj, int32(len(s.rows)))
+	s.rows = append(s.rows, row{ids: k})
 }
 
-// done puts every subject's list in (predicate, object) order and returns
-// the store.
+// done puts every subject's list in (predicate, object) order, keeps one
+// row of each run of equal triples, counts the subject's predicate runs,
+// and then lists each row under its predicate and its object and counts
+// it, and returns the store.
 func (b *bulk) done() store {
 	s := &b.st
 	byPO := func(x, y int32) int { return s.comparePO(s.rows[x].ids, s.rows[y].ids) }
+	repeats := 0
 	for id := range s.dict {
-		slices.SortFunc(s.dict[id].post[posS], byPO)
+		list := s.dict[id].post[posS]
+		slices.SortFunc(list, byPO)
+		n := 0
+		for _, r := range list {
+			k := &s.rows[r].ids
+			if n > 0 && *k == s.rows[list[n-1]].ids {
+				k[posS] = noID // a repeat, dropped below
+				repeats++
+				continue
+			}
+			if s.predAt(list[:n], n-1) != k[posP] {
+				s.card(k[posP]).subjects++
+			}
+			list[n] = r
+			n++
+		}
+		s.dict[id].post[posS] = list[:n]
+	}
+	if repeats > 0 {
+		s.dropRepeats()
+	}
+	for r := range s.rows {
+		rw := &s.rows[r]
+		for pos := posP; pos <= posO; pos++ {
+			list := &s.dict[rw.ids[pos]].post[pos]
+			rw.at[pos-posP] = int32(len(*list))
+			*list = append(*list, int32(r))
+		}
+		pc := s.predCards[rw.ids[posP]]
+		pc.triples++
+		pc.objects[rw.ids[posO]]++
 	}
 	return b.st
+}
+
+// dropRepeats deletes the rows done marked as repeats, keeping the order
+// of the others, and renumbers the subject lists' entries.
+func (s *store) dropRepeats() {
+	renumber := make([]int32, len(s.rows))
+	n := 0
+	for r, rw := range s.rows {
+		if rw.ids[posS] != noID {
+			renumber[r] = int32(n)
+			s.rows[n] = rw
+			n++
+		}
+	}
+	s.rows = s.rows[:n]
+	for id := range s.dict {
+		for j, r := range s.dict[id].post[posS] {
+			s.dict[id].post[posS][j] = renumber[r]
+		}
+	}
 }
 
 // buildStore bulk-loads a decoded triple set. Its terms are distinct, so
@@ -278,24 +351,29 @@ func (s *store) predRun(sid int32, p rdf.Term) (i, j int) {
 	return i, j
 }
 
-// remove deletes a triple, reporting whether it was stored.
+// remove deletes a triple, reporting whether it was stored, and frees
+// the ids of its terms that no triple carries any more.
 func (s *store) remove(t rdf.Triple) bool {
-	r, ok := s.find(t)
+	r, i, ok := s.find(t)
 	if !ok {
 		return false
 	}
-	i, _ := s.subjectSlot(s.rows[r].ids)
-	s.removeRow(r, i)
+	for _, id := range s.removeRow(r, i) {
+		s.release(id)
+	}
 	return true
 }
 
-// removeRow deletes row r, which sits at index i of its subject's list.
-// That list closes the gap it leaves, its predicate's and object's lists
-// each move their last entry into its slot, the last row moves into its
-// row slot, and a term left in no triple frees its id.
-func (s *store) removeRow(r int32, i int) {
+// removeRow deletes row r, which sits at index i of its subject's list,
+// and returns its ids. That list closes the gap it leaves, its
+// predicate's and object's lists each move their last entry into its
+// slot, and the last row moves into its row slot. The caller releases
+// the ids.
+func (s *store) removeRow(r int32, i int) idTriple {
 	gone := s.rows[r]
 	subj := &s.dict[gone.ids[posS]].post[posS]
+	p := gone.ids[posP]
+	last := s.predAt(*subj, i-1) != p && s.predAt(*subj, i+1) != p
 	*subj = slices.Delete(*subj, i, i+1)
 	for pos := posP; pos <= posO; pos++ {
 		id, at := gone.ids[pos], gone.at[pos-posP]
@@ -313,24 +391,27 @@ func (s *store) removeRow(r int32, i int) {
 		for pos := posP; pos <= posO; pos++ {
 			s.dict[moved.ids[pos]].post[pos][moved.at[pos-posP]] = r
 		}
-		s.where[moved.ids] = r
 	}
 	s.rows = s.rows[:len(s.rows)-1]
-	delete(s.where, gone.ids)
-	s.cardRemove(gone.ids)
-	for _, id := range gone.ids {
-		s.release(id)
-	}
+	s.cardRemove(gone.ids, last)
+	return gone.ids
 }
 
-// release frees a live id that no triple carries any more.
+// release frees a live id that no triple carries any more, with its
+// predicate's cardinality record. The slot keeps its lists' storage: a
+// freed slot is reused before the dictionary grows, so what it keeps is
+// bounded by what the live store once held.
 func (s *store) release(id int32) {
 	e := &s.dict[id]
 	if e.term.IsZero() || len(e.post[posS])+len(e.post[posP])+len(e.post[posO]) > 0 {
 		return
 	}
 	delete(s.ids, e.term)
-	*e = entry{}
+	delete(s.predCards, id)
+	e.term = rdf.Term{}
+	for pos := range e.post {
+		e.post[pos] = e.post[pos][:0]
+	}
 	s.free = append(s.free, id)
 }
 

@@ -134,7 +134,7 @@ func (m *Manager) create(sp *obs.Span, t, requires rdf.Triple, max int) (added b
 // max values of t's predicate, unless max is negative.
 func (m *Manager) guardLocked(t, requires rdf.Triple, max int) error {
 	if requires != (rdf.Triple{}) {
-		if _, ok := m.st.find(requires); !ok {
+		if _, _, ok := m.st.find(requires); !ok {
 			return ErrGuard
 		}
 	}
@@ -160,7 +160,11 @@ func (m *Manager) createLocked(t rdf.Triple) bool {
 // setLocked applies a staged Set under the held lock: it checks the
 // requirement, removes the subject's run of the predicate in list order,
 // and stores the new triple where the run was. Each change goes on the
-// undo log, which it returns; a failed requirement changes nothing.
+// undo log, which it returns; a failed requirement changes nothing. A
+// removed triple's object is released at once, so the new value can take
+// its slot, but the subject and predicate stay live across the swap,
+// since the new triple carries both, and the predicate keeps its
+// cardinality record.
 func (m *Manager) setLocked(op setOp, log []undo) ([]undo, error) {
 	if err := m.guardLocked(op.t, op.requires, -1); err != nil {
 		return log, err
@@ -169,11 +173,12 @@ func (m *Manager) setLocked(op setOp, log []undo) ([]undo, error) {
 	sid := st.lookup(op.t.Subject)
 	i, j := st.predRun(sid, op.t.Predicate)
 	for ; j > i; j-- {
-		// The run's next entry closes up to index i; a subject freed by
-		// the last remove is not read again.
+		// The run's next entry closes up to index i.
 		r := st.dict[sid].post[posS][i]
 		gone := st.triple(r)
-		st.removeRow(r, i)
+		if k := st.removeRow(r, i); k[posO] != k[posS] && k[posO] != k[posP] {
+			st.release(k[posO])
+		}
 		m.generation++
 		m.queueNotifyLocked(gone, false)
 		log = append(log, undo{t: gone, readd: true})
@@ -227,7 +232,7 @@ func (m *Manager) RemoveMatching(p rdf.Pattern) int {
 func (m *Manager) Has(t rdf.Triple) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, ok := m.st.find(t)
+	_, _, ok := m.st.find(t)
 	return ok
 }
 
