@@ -22,7 +22,7 @@
 // excerpt-backed), or dangling (docs/ROBUSTNESS.md). It exits non-zero
 // when any mark is dangling. The top command dereferences every stored
 // mark through the instrumented resilient resolver and prints the
-// heavy-hitter sketch: resolve traffic ranked by mark scheme and resolver
+// heavy-hitter shape counts: resolve traffic ranked by mark scheme and resolver
 // — the same ranking a served store exposes at /debug/top
 // (docs/OBSERVABILITY.md).
 package main
@@ -170,11 +170,11 @@ func doctor(marksFile string, docs []string, jsonOut bool, out io.Writer) error 
 
 // top loads the mark store plus the given base documents, dereferences
 // every stored mark through the instrumented resilient resolver, and
-// prints the process-wide heavy-hitter sketch. Shapes are keyed by scheme
-// and resolver, so the ranking shows which base-information types carry
-// the resolve traffic. Unresolvable marks still count — their shapes are
-// recorded before the resolve fails — so the sketch reflects attempted
-// traffic, not just successes.
+// prints the process-wide heavy-hitter shape counts. Shapes are keyed by
+// scheme and resolver, so the ranking shows which base-information types
+// carry the resolve traffic. Unresolvable marks still count — their shapes
+// are recorded before the resolve fails — so the ranking reflects
+// attempted traffic, not just successes.
 func top(marksFile string, docs []string, jsonOut bool, k int, out io.Writer) error {
 	mm := mark.NewManager()
 	store := trim.NewManager()
@@ -326,7 +326,7 @@ func execute(cmd, marksFile, scheme, doc, at, id string, out io.Writer) error {
 			return err
 		}
 		// The instrumented resilient path: the resolve lands in the causal
-		// trace and the heavy-hitter sketch, same as a served store.
+		// trace and the heavy-hitter shape counts, same as a served store.
 		el, err := mm.ResolveCtx(context.Background(), id)
 		if err != nil {
 			return err

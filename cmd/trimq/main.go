@@ -47,7 +47,7 @@
 // their EXPLAIN plan lines); -perfetto also saves the trace as Chrome
 // trace-event JSON for ui.perfetto.dev. top replays the -workload file
 // (one select/view/path query per line, # comments allowed) against the
-// store and prints the heavy-hitter query-shape sketch — the same ranking
+// store and prints the heavy-hitter query-shape counts — the same ranking
 // a served store exposes at /debug/top (docs/OBSERVABILITY.md).
 package main
 
@@ -429,9 +429,10 @@ func traceQuery(m *trim.Manager, pm *rdf.PrefixMap, jsonOut bool, perfetto strin
 
 // topShapes is the heavy-hitter profiler CLI: it optionally replays a
 // workload file through the store's instrumented query paths, then prints
-// the process-wide query-shape sketch ranked by count. The sketch is keyed
-// by shape (op kind, bound-position mask, index choice, predicate), so a
-// thousand selects over the same pattern collapse into one ranked row.
+// the process-wide query-shape counts ranked. They are keyed by shape (op
+// kind, bound-position mask, index choice, predicate), so a thousand
+// selects over the same pattern collapse into one ranked row. Counts are
+// exact, so nothing is ever evicted.
 func topShapes(m *trim.Manager, pm *rdf.PrefixMap, jsonOut bool, workload string, k int, out io.Writer) error {
 	if workload != "" {
 		if err := replayWorkload(m, pm, workload); err != nil {
@@ -445,8 +446,8 @@ func topShapes(m *trim.Manager, pm *rdf.PrefixMap, jsonOut bool, workload string
 	for i, e := range entries {
 		fmt.Fprintf(out, "%3d  %8d  ±%-5d  %s\n", i+1, e.Count, e.ErrBound, e.Key)
 	}
-	fmt.Fprintf(out, "-- %d shape(s), %d op(s) recorded, %d evicted\n",
-		len(entries), obs.DefaultTopQueries.Recorded(), obs.DefaultTopQueries.Evicted())
+	fmt.Fprintf(out, "-- %d shape(s), %d op(s) recorded, 0 evicted\n",
+		len(entries), obs.DefaultTopQueries.Recorded())
 	return nil
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -279,5 +281,86 @@ func TestTopWorkloadErrors(t *testing.T) {
 	err := run([]string{"-store", path, "-workload", wl, "top"}, &out)
 	if err == nil || !strings.Contains(err.Error(), ":2:") {
 		t.Fatalf("bad workload err = %v, want line position", err)
+	}
+}
+
+// TestTopCountsEveryShapeExactly: selects over 200 predicates, more keys
+// than the space-saving sketch's 128 slots, each counted a known number of
+// times. `top -json` and /debug/top report every count exactly, with
+// nothing evicted.
+func TestTopCountsEveryShapeExactly(t *testing.T) {
+	obs.DefaultTopQueries.Reset()
+	const preds = 200
+	m := trim.NewManager()
+	want := map[string]int{}
+	var wl strings.Builder
+	for i := 0; i < preds; i++ {
+		p := fmt.Sprintf("inst:p%03d", i)
+		if _, err := m.Create(rdf.T(rdf.IRI(rdf.NSInst+"s"), rdf.IRI(rdf.NSInst+p[5:]), rdf.Integer(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + i%4
+		for j := 0; j < n; j++ {
+			fmt.Fprintf(&wl, "select ? %s ?\n", p)
+		}
+		want["select ?p? index=predicate pred="+rdf.NSInst+p[5:]] = n
+	}
+	dir := t.TempDir()
+	path, queries := filepath.Join(dir, "store.xml"), filepath.Join(dir, "queries.txt")
+	if err := m.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(queries, []byte(wl.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-store", path, "-workload", queries, "-json", "top"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	obs.DefaultTopQueries.Reset()
+	if err := run([]string{"-store", path, "-serve", "127.0.0.1:0", "-workload", queries, "top"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	s := obs.ActiveServer()
+	if s == nil {
+		t.Fatal("-serve left no active server")
+	}
+	defer s.Close()
+	code, body := scrape(t, s.URL(), "/debug/top")
+	if code != 200 {
+		t.Fatalf("/debug/top status %d:\n%s", code, body)
+	}
+	for name, doc := range map[string]string{"top -json": out.String(), "/debug/top": body} {
+		var top struct {
+			Evicted *int64 `json:"evicted"`
+			Entries []struct {
+				Key      string `json:"key"`
+				Count    int    `json:"count"`
+				ErrBound int    `json:"err_bound"`
+			} `json:"entries"`
+		}
+		if err := json.Unmarshal([]byte(doc), &top); err != nil {
+			t.Fatalf("%s: not JSON: %v", name, err)
+		}
+		if top.Evicted == nil || *top.Evicted != 0 {
+			t.Errorf("%s: evicted = %v, want 0", name, top.Evicted)
+		}
+		got := map[string]int{}
+		for _, e := range top.Entries {
+			if _, ok := want[e.Key]; ok {
+				got[e.Key] = e.Count
+				if e.ErrBound != 0 {
+					t.Errorf("%s: %q err_bound %d", name, e.Key, e.ErrBound)
+				}
+			}
+		}
+		if len(got) != preds {
+			t.Errorf("%s: reports %d of the %d predicate shapes", name, len(got), preds)
+		}
+		for key, n := range want {
+			if got[key] != n {
+				t.Errorf("%s: %q counted %d, want %d", name, key, got[key], n)
+			}
+		}
 	}
 }

@@ -32,10 +32,11 @@ var LockGuard = &Analyzer{
 }
 
 var (
-	guardedByRe    = regexp.MustCompile(`(?i)guarded by (\w+)`)
-	callerHoldsRe  = regexp.MustCompile(`(?i)caller[s]? (?:must )?hold[s]? (\w+)`)
-	lockMethodName = map[string]bool{"Lock": true, "RLock": true}
-	unlockMethods  = map[string]bool{"Unlock": true, "RUnlock": true}
+	guardedByRe   = regexp.MustCompile(`(?i)guarded by (\w+)`)
+	callerHoldsRe = regexp.MustCompile(`(?i)caller[s]? (?:must )?hold[s]? (\w+)`)
+	// The ...At forms are the obs tracked locks' clock-sharing variants.
+	lockMethodName = map[string]bool{"Lock": true, "RLock": true, "LockAt": true, "RLockAt": true}
+	unlockMethods  = map[string]bool{"Unlock": true, "RUnlock": true, "UnlockAt": true, "RUnlockAt": true}
 )
 
 func runLockGuard(pass *Pass) error {

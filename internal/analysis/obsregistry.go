@@ -53,8 +53,6 @@ var instrumentationSinks = map[string]bool{
 	"Span.FinishErr":  true,
 	// Slow-op journal.
 	"SlowOps.Observe": true,
-	// Workload analytics: heavy-hitter sketch recording.
-	"TopK.Record":      true,
-	"TopK.RecordN":     true,
-	"RecordQueryShape": true,
+	// Workload analytics: an exact query-shape count.
+	"ShapeCount.Record": true,
 }

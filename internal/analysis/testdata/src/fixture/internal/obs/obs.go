@@ -37,6 +37,14 @@ type Histogram struct{ n int64 }
 
 func (h *Histogram) Observe(v int64) { h.n += v }
 
+// ShapeCount is a query-shape count stub.
+type ShapeCount struct{ n int64 }
+
+func (s *ShapeCount) Record() { s.n++ }
+
+// QueryShape mirrors the real shape-table accessor.
+func QueryShape(key string) *ShapeCount { _ = key; return &ShapeCount{} }
+
 // C and H mirror the real registry accessors.
 func C(name string) *Counter   { _ = name; return &Counter{} }
 func H(name string) *Histogram { _ = name; return &Histogram{} }

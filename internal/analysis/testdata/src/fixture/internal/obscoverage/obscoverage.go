@@ -29,6 +29,18 @@ func Remove() { // want `exported mutating op Remove records no metric or span`
 func RemoveQuiet() {
 }
 
+var shape = obs.QueryShape("fixture shape")
+
+// AddShaped records only a query-shape count: fine.
+func AddShaped() {
+	shape.Record()
+}
+
+// StoreShapeless looks a shape up but never counts it.
+func StoreShapeless() { // want `exported mutating op StoreShapeless records no metric or span`
+	_ = obs.QueryShape("fixture shape")
+}
+
 // Get is not a mutating verb: fine.
 func Get() {
 }

@@ -1,6 +1,7 @@
 package mark
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -88,5 +89,47 @@ func TestSuccessfulResolveCountsNoError(t *testing.T) {
 	}
 	if got := create.Count() - create0; got != 1 {
 		t.Errorf("mark.create.spreadsheet.ns delta = %d, want 1", got)
+	}
+}
+
+// TestResolveShapeKeys: a resilient resolve counts the shape
+// "mark.resolve scheme=<scheme> resolver=<resolver>", byte for byte the
+// key it built per call before, once per call; an unknown mark counts
+// under scheme "unknown". The key is built once per (scheme, resolver).
+func TestResolveShapeKeys(t *testing.T) {
+	mm := NewManager()
+	if err := mm.RegisterModule(failingModule{}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mm.CreateFromSelection("failing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(key string) int64 {
+		for _, e := range obs.DefaultTopQueries.Top(0) {
+			if e.Key == key {
+				return e.Count
+			}
+		}
+		return 0
+	}
+	obs.DefaultTopQueries.Reset()
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		mm.ResolveCtx(ctx, m.ID)
+	}
+	mm.ResolveWithCtx(ctx, m.ID, ResolveInPlace)
+	mm.ResolveCtx(ctx, "mark-999999")
+	for key, want := range map[string]int64{
+		"mark.resolve scheme=failing resolver=context": 3,
+		"mark.resolve scheme=failing resolver=inplace": 1,
+		"mark.resolve scheme=unknown resolver=context": 1,
+	} {
+		if got := count(key); got != want {
+			t.Errorf("%q counted %d, want %d", key, got, want)
+		}
+	}
+	if resolveShape("failing", ResolveContext) != resolveShape("failing", ResolveContext) {
+		t.Error("one (scheme, resolver) gave two shape counts")
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/base"
@@ -106,13 +109,13 @@ func (mm *Manager) ResolveWithCtx(ctx context.Context, id, resolver string) (el 
 	ctx, sp := obs.StartCtx(ctx, "mark.resolve", id)
 	defer func() { sp.FinishErr(err) }()
 	// Heavy-hitter profiling: shapes are keyed by scheme and resolver, not
-	// mark id, so the sketch ranks resolve traffic per base-information
+	// mark id, so /debug/top ranks resolve traffic per base-information
 	// type (bounded by the module registry) instead of per mark.
 	scheme := "unknown"
 	if m, merr := mm.Mark(id); merr == nil {
 		scheme = m.Address.Scheme
 	}
-	obs.RecordQueryShape("mark.resolve scheme=" + scheme + " resolver=" + resolver)
+	resolveShape(scheme, resolver).Record()
 	policy := mm.RetryPolicy()
 	attempts := policy.MaxAttempts
 	if attempts < 1 {
@@ -152,6 +155,45 @@ func (mm *Manager) ResolveWithCtx(ctx context.Context, id, resolver string) (el 
 		mm.setQuarantine(m, err)
 	}
 	return base.Element{}, err
+}
+
+// resolveShapeKey names one resolve shape: a scheme and a resolver.
+type resolveShapeKey struct{ scheme, resolver string }
+
+// resolveShapes maps each resolve shape seen to its count, so a resolve
+// builds its shape key once per (scheme, resolver), not per call. Readers
+// load the map without a lock; a new shape copies it under
+// resolveShapesMu and stores the copy.
+var (
+	resolveShapes   atomic.Pointer[map[resolveShapeKey]*obs.ShapeCount]
+	resolveShapesMu sync.Mutex
+)
+
+// resolveShape returns the count of resolves of a scheme's marks with the
+// named resolver.
+func resolveShape(scheme, resolver string) *obs.ShapeCount {
+	k := resolveShapeKey{scheme, resolver}
+	if m := resolveShapes.Load(); m != nil {
+		if s, ok := (*m)[k]; ok {
+			return s
+		}
+	}
+	resolveShapesMu.Lock()
+	defer resolveShapesMu.Unlock()
+	old := resolveShapes.Load()
+	if old != nil {
+		if s, ok := (*old)[k]; ok {
+			return s
+		}
+	}
+	next := make(map[resolveShapeKey]*obs.ShapeCount)
+	if old != nil {
+		maps.Copy(next, *old)
+	}
+	s := obs.QueryShape("mark.resolve scheme=" + scheme + " resolver=" + resolver)
+	next[k] = s
+	resolveShapes.Store(&next)
+	return s
 }
 
 // sleepCtx waits d or until ctx is done.

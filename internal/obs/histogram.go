@@ -24,11 +24,12 @@ var SizeBounds = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000}
 
 // Histogram is a fixed-bucket histogram with atomic buckets: Observe is
 // lock-free and safe for concurrent use. Bucket i counts observations
-// v <= bounds[i]; the final bucket counts everything larger (+Inf).
+// v <= bounds[i]; the final bucket counts everything larger (+Inf). The
+// observation count is the buckets' sum, taken when it is read, so an
+// Observe writes two atomics, or one for a zero (a free lock's wait).
 type Histogram struct {
 	bounds  []int64
 	buckets []atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 }
 
@@ -41,10 +42,22 @@ func newHistogram(bounds []int64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[h.bucket(v)].Add(1)
+	if v != 0 {
+		h.sum.Add(v)
+	}
+}
+
+// bucket returns the index of the bucket counting v: the first bound at or
+// above it, or the +Inf bucket. The bounds are few and most values land
+// low, so a scan up from the smallest beats a binary search.
+func (h *Histogram) bucket(v int64) int {
+	for i, b := range h.bounds {
+		if v <= b {
+			return i
+		}
+	}
+	return len(h.bounds)
 }
 
 // ObserveSince records the nanoseconds elapsed since start: the one-liner
@@ -60,14 +73,18 @@ func (h *Histogram) observeN(v, n int64) {
 	if n <= 0 {
 		return
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.buckets[i].Add(n)
-	h.count.Add(n)
+	h.buckets[h.bucket(v)].Add(n)
 	h.sum.Add(v * n)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -87,13 +104,13 @@ type HistogramSnapshot struct {
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count:   h.count.Load(),
 		Sum:     h.sum.Load(),
 		Bounds:  h.bounds,
 		Buckets: make([]int64, len(h.buckets)),
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

@@ -60,10 +60,13 @@ func (lm *lockModeMetrics) acquired(waitNS int64) {
 var monoBase = time.Now()
 
 // Nanotime returns nanoseconds on the monotonic clock, counted from when
-// the package was initialised. Durations that are never shown as a time of
-// day — lock waits and holds, an untraced op's latency — need only the
-// difference of two readings.
+// the package was initialised. Every instrumented boundary times itself on
+// it — spans, op latencies, lock waits and holds — and a span's time of
+// day is derived from it only when its record is read (wallTime).
 func Nanotime() int64 { return int64(time.Since(monoBase)) }
+
+// wallTime converts a Nanotime reading to a time of day.
+func wallTime(ns int64) time.Time { return monoBase.Add(time.Duration(ns)) }
 
 // TrackedMutex is a sync.Mutex recording wait-time and hold-time
 // histograms and contention counters under the given lock name. The zero
@@ -134,20 +137,31 @@ func NewTrackedRWMutex(name string) *TrackedRWMutex {
 }
 
 // Lock acquires the write lock, recording the wait.
-func (m *TrackedRWMutex) Lock() {
+func (m *TrackedRWMutex) Lock() { m.LockAt(Nanotime()) }
+
+// Unlock releases the write lock, recording the hold time.
+func (m *TrackedRWMutex) Unlock() { m.UnlockAt(Nanotime()) }
+
+// LockAt is Lock for a caller that has just read the clock: now, a
+// Nanotime reading, starts the wait if the lock is taken and the hold if
+// it is free, so an op that times itself shares its clock reading with
+// its lock.
+func (m *TrackedRWMutex) LockAt(now int64) {
 	if m.mu.TryLock() {
 		m.w.acquired(0)
 	} else {
-		start := Nanotime()
 		m.mu.Lock()
-		m.w.acquired(Nanotime() - start)
+		end := Nanotime()
+		m.w.acquired(end - now)
+		now = end
 	}
-	m.acquiredNS = Nanotime()
+	m.acquiredNS = now
 }
 
-// Unlock releases the write lock, recording the hold time.
-func (m *TrackedRWMutex) Unlock() {
-	m.w.hold.Observe(Nanotime() - m.acquiredNS)
+// UnlockAt is Unlock for a caller that has just read the clock: the hold
+// ends at now, a Nanotime reading.
+func (m *TrackedRWMutex) UnlockAt(now int64) {
+	m.w.hold.Observe(now - m.acquiredNS)
 	m.mu.Unlock()
 }
 
@@ -160,29 +174,40 @@ const readSpin = 20 * time.Microsecond
 // RLock acquires a read lock, recording the wait. A reader that finds the
 // lock unavailable retries for readSpin before it parks; the recorded
 // wait covers both.
-func (m *TrackedRWMutex) RLock() {
+func (m *TrackedRWMutex) RLock() { m.RLockAt(Nanotime()) }
+
+// RUnlock releases a read lock. When the last reader leaves, the read
+// epoch's duration is recorded as the read hold time.
+func (m *TrackedRWMutex) RUnlock() { m.RUnlockAt(Nanotime()) }
+
+// RLockAt is RLock for a caller that has just read the clock: now, a
+// Nanotime reading, starts the wait if the lock is unavailable and the
+// read epoch if this reader opens one. A select that times itself
+// therefore reads the clock twice in all, lock included.
+func (m *TrackedRWMutex) RLockAt(now int64) {
 	if m.mu.TryRLock() {
 		m.r.acquired(0)
 	} else {
-		start := Nanotime()
 		for !m.mu.TryRLock() {
-			if Nanotime()-start >= int64(readSpin) {
+			if Nanotime()-now >= int64(readSpin) {
 				m.mu.RLock()
 				break
 			}
 		}
-		m.r.acquired(Nanotime() - start)
+		end := Nanotime()
+		m.r.acquired(end - now)
+		now = end
 	}
 	if m.readers.Add(1) == 1 {
-		m.readEpochNS.Store(Nanotime())
+		m.readEpochNS.Store(now)
 	}
 }
 
-// RUnlock releases a read lock. When the last reader leaves, the read
-// epoch's duration is recorded as the read hold time.
-func (m *TrackedRWMutex) RUnlock() {
+// RUnlockAt is RUnlock for a caller that has just read the clock: a read
+// epoch this reader closes ends at now, a Nanotime reading.
+func (m *TrackedRWMutex) RUnlockAt(now int64) {
 	if m.readers.Add(-1) == 0 {
-		m.r.hold.Observe(Nanotime() - m.readEpochNS.Load())
+		m.r.hold.Observe(now - m.readEpochNS.Load())
 	}
 	m.mu.RUnlock()
 }

@@ -156,13 +156,11 @@ const (
 	NameFlightGCNext      = "flight.gc.next.bytes"
 )
 
-// Workload analytics (internal/obs/window.go, topk.go): the windowed
-// sampler's self-accounting and the heavy-hitter sketch totals. Nonzero
-// obs.top.evicted means the sketch is estimating, not counting exactly.
+// Workload analytics (internal/obs/window.go, shapes.go): the windowed
+// sampler's self-accounting and the query-shape occurrences counted.
 const (
 	NameObsWindowSamples = "obs.window.samples"
 	NameObsTopRecorded   = "obs.top.recorded"
-	NameObsTopEvicted    = "obs.top.evicted"
 )
 
 // Instrumented locks (internal/obs/lock.go): per-lock wait/hold latency

@@ -32,7 +32,7 @@ import (
 //	                   Chrome trace-event JSON)
 //	/debug/flight      runtime flight recorder ring (JSON)
 //	/debug/load        windowed 1m/5m rates and delta percentiles (JSON)
-//	/debug/top         heavy-hitter query shapes, space-saving top-K (JSON)
+//	/debug/top         heavy-hitter query shapes, exact counts (JSON)
 //	/debug/contention  tracked-lock wait/hold stats (JSON)
 //	/debug/space       process memory classes + per-subsystem space reports
 //	/debug/slowops     JSON dump of the slow-op journal
@@ -50,7 +50,7 @@ type ServeConfig struct {
 	Ready    *HealthRegistry
 	Flight   *FlightRecorder
 	Window   *WindowSampler
-	Top      *TopK
+	Top      *ShapeTable
 	Locks    *LockTable
 	Space    *SpaceSources
 }

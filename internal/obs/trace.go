@@ -1,13 +1,13 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -116,52 +116,44 @@ type OpRecord struct {
 }
 
 // opRecordJSON is the wire shape of an OpRecord. Timing is machine-first:
-// start_unix_ns and dur_ns are plain integer nanoseconds. The RFC3339
-// "start" key is kept readable for one release alongside start_unix_ns
-// (docs/OBSERVABILITY.md); dur_ns has always been integer nanoseconds.
+// start_unix_ns and dur_ns are plain integer nanoseconds.
 type opRecordJSON struct {
-	Seq         uint64    `json:"seq"`
-	Trace       TraceID   `json:"trace_id,omitempty"`
-	Span        SpanID    `json:"span_id,omitempty"`
-	Parent      SpanID    `json:"parent_id,omitempty"`
-	Op          string    `json:"op"`
-	Detail      string    `json:"detail,omitempty"`
-	Depth       int       `json:"depth"`
-	Start       time.Time `json:"start"`
-	StartUnixNS int64     `json:"start_unix_ns"`
-	DurNS       int64     `json:"dur_ns"`
-	Err         string    `json:"err,omitempty"`
+	Seq         uint64  `json:"seq"`
+	Trace       TraceID `json:"trace_id,omitempty"`
+	Span        SpanID  `json:"span_id,omitempty"`
+	Parent      SpanID  `json:"parent_id,omitempty"`
+	Op          string  `json:"op"`
+	Detail      string  `json:"detail,omitempty"`
+	Depth       int     `json:"depth"`
+	StartUnixNS int64   `json:"start_unix_ns"`
+	DurNS       int64   `json:"dur_ns"`
+	Err         string  `json:"err,omitempty"`
 }
 
 func (r OpRecord) wire() opRecordJSON {
 	return opRecordJSON{
 		Seq: r.Seq, Trace: r.Trace, Span: r.Span, Parent: r.Parent,
 		Op: r.Op, Detail: r.Detail, Depth: r.Depth,
-		Start: r.Start, StartUnixNS: r.Start.UnixNano(), DurNS: int64(r.Dur),
+		StartUnixNS: r.Start.UnixNano(), DurNS: int64(r.Dur),
 		Err: r.Err,
 	}
 }
 
 func (w opRecordJSON) record() OpRecord {
-	start := w.Start
-	if w.StartUnixNS != 0 {
-		start = time.Unix(0, w.StartUnixNS)
-	}
 	return OpRecord{
 		Seq: w.Seq, Trace: w.Trace, Span: w.Span, Parent: w.Parent,
 		Op: w.Op, Detail: w.Detail, Depth: w.Depth,
-		Start: start, Dur: time.Duration(w.DurNS), Err: w.Err,
+		Start: time.Unix(0, w.StartUnixNS), Dur: time.Duration(w.DurNS), Err: w.Err,
 	}
 }
 
 // MarshalJSON emits the machine-parseable shape: integer start_unix_ns and
-// dur_ns, hex trace/span/parent ids, plus the legacy RFC3339 "start" key.
+// dur_ns, and hex trace/span/parent ids.
 func (r OpRecord) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.wire())
 }
 
-// UnmarshalJSON accepts the wire shape, preferring start_unix_ns and
-// falling back to the legacy RFC3339 start key.
+// UnmarshalJSON accepts the wire shape.
 func (r *OpRecord) UnmarshalJSON(b []byte) error {
 	var w opRecordJSON
 	if err := json.Unmarshal(b, &w); err != nil {
@@ -184,13 +176,19 @@ var (
 // diagnostics server reassembles into per-trace trees. All methods are
 // safe for concurrent use and nil-safe, so packages can trace
 // unconditionally.
+//
+// The ring holds the finished spans themselves. Finishing a span publishes
+// it with one atomic add, which numbers it, and one atomic pointer store
+// into its slot: no lock and no copy. Readers (Recent, and Trace and Roots
+// through it) build OpRecords from the spans when they read.
 type Tracer struct {
 	enabled atomic.Bool
 	// sampleBits holds math.Float64bits of the root-sampling rate.
 	sampleBits atomic.Uint64
-	mu         sync.Mutex
-	ring       []OpRecord
-	seq        uint64 // total finished spans ever; ring[(seq-1) % cap] is newest
+	// seq counts the spans ever published. The span numbered n sits in
+	// ring[(n-1) % len(ring)] until span n+len(ring) takes the slot.
+	seq  atomic.Uint64
+	ring []atomic.Pointer[Span]
 }
 
 // NewTracer returns an enabled tracer retaining the last capacity ops
@@ -199,7 +197,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &Tracer{ring: make([]OpRecord, capacity)}
+	t := &Tracer{ring: make([]atomic.Pointer[Span], capacity)}
 	t.enabled.Store(true)
 	t.sampleBits.Store(math.Float64bits(1))
 	return t
@@ -257,22 +255,36 @@ func (tr *Tracer) sample() bool {
 // goroutines through the context StartCtx returned, or ContextWithSpan,
 // and start children there). A nil *Span is valid and all its methods
 // no-op, so disabled tracing costs nothing at call sites.
+//
+// A finished span is the tracer's record of the op: its fields are set
+// before the span is published into the ring and never change after, so
+// readers on other goroutines need no lock. Finish a span once, and call
+// SetDetail and SkipJournal before finishing it. The struct is 128 bytes,
+// one allocation size class; a field added here must fit in it.
 type Span struct {
-	tr      *Tracer
-	op      string
-	detail  string
-	depth   int
-	start   time.Time
-	trace   TraceID
-	id      SpanID
-	parent  SpanID
+	tr     *Tracer
+	op     string
+	detail string
+	// err is the error text of a span that finished with one.
+	err string
+	// start is when the span started, on the Nanotime clock; dur is set
+	// when it finishes.
+	start  int64
+	dur    time.Duration
+	trace  TraceID
+	id     SpanID
+	parent SpanID
+	// seq numbers the span in its tracer's ring, set as it is published.
+	seq     uint64
+	depth   int32
 	sampled bool
 	// skipJournal is set by SkipJournal: the op wrote its own slow-op
 	// entry, so finishing the span writes none.
 	skipJournal bool
-	// ctx is the context StartCtx hands out with the span (tracectx.go).
-	// Holding it here makes a span and its context one allocation.
-	ctx spanCtx
+	// ctx is the context the span was started under. The span, as a
+	// *spanCtx, is the context StartCtx hands out (tracectx.go), so a span
+	// and its context are one allocation.
+	ctx context.Context
 }
 
 // Start begins a root span, minting a fresh TraceID. Returns nil when the
@@ -286,7 +298,7 @@ func (tr *Tracer) Start(op, detail string) *Span {
 
 func (tr *Tracer) root(op, detail string) *Span {
 	s := &Span{
-		tr: tr, op: op, detail: detail, start: time.Now(),
+		tr: tr, op: op, detail: detail, start: Nanotime(),
 		trace: newTraceID(), id: newSpanID(), sampled: tr.sample(),
 	}
 	if s.sampled {
@@ -307,7 +319,7 @@ func (s *Span) Child(op, detail string) *Span {
 		return nil
 	}
 	return &Span{
-		tr: s.tr, op: op, detail: detail, depth: s.depth + 1, start: time.Now(),
+		tr: s.tr, op: op, detail: detail, depth: s.depth + 1, start: Nanotime(),
 		trace: s.trace, id: newSpanID(), parent: s.id, sampled: s.sampled,
 	}
 }
@@ -340,15 +352,24 @@ func (s *Span) SetDetail(detail string) {
 	}
 }
 
-// StartTime returns when the span started. A nil span returns the
-// current time, so an op can time itself from StartTime whether or not it
-// is traced, and its latency histogram and its span then share one start
-// read of the clock.
+// StartNS returns when the span started, on the Nanotime clock. A nil span
+// returns the current reading, so an op can time itself from StartNS
+// whether or not it is traced: its latency histogram, its span and the
+// store lock it takes then share one start reading of the clock.
+func (s *Span) StartNS() int64 {
+	if s == nil {
+		return Nanotime()
+	}
+	return s.start
+}
+
+// StartTime returns when the span started, as a time of day. A nil span
+// returns the current time.
 func (s *Span) StartTime() time.Time {
 	if s == nil {
 		return time.Now()
 	}
-	return s.start
+	return wallTime(s.start)
 }
 
 // SkipJournal keeps the span out of the slow-op journal, for an op that
@@ -373,75 +394,78 @@ func (s *Span) FinishErr(err error) {
 	if s == nil {
 		return
 	}
-	s.FinishDur(time.Since(s.start), err)
+	s.FinishDur(time.Duration(Nanotime()-s.start), err)
 }
 
 // FinishDur is FinishErr with a duration the caller already measured from
-// StartTime, for an op that observes its own latency: the op and its span
+// StartNS, for an op that observes its own latency: the op and its span
 // then share one end read of the clock.
 func (s *Span) FinishDur(dur time.Duration, err error) {
 	if s == nil {
 		return
 	}
+	if !s.skipJournal && DefaultSlowOps.Slow(dur) {
+		DefaultSlowOps.Observe(s.op, s.detail, wallTime(s.start), dur, err)
+	}
 	if s.sampled || err != nil {
-		rec := OpRecord{
-			Trace:  s.trace,
-			Span:   s.id,
-			Parent: s.parent,
-			Op:     s.op,
-			Detail: s.detail,
-			Depth:  s.depth,
-			Start:  s.start,
-			Dur:    dur,
-		}
+		s.dur = dur
 		if err != nil {
-			rec.Err = err.Error()
+			s.err = err.Error()
 		}
-		s.tr.record(rec)
-	}
-	if !s.skipJournal {
-		DefaultSlowOps.Observe(s.op, s.detail, s.start, dur, err)
+		s.tr.publish(s)
 	}
 }
 
-func (tr *Tracer) record(rec OpRecord) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.seq++
-	rec.Seq = tr.seq
-	tr.ring[(tr.seq-1)%uint64(len(tr.ring))] = rec
+// publish numbers a finished span and stores it into its ring slot. The
+// span's fields are all written before the store, which is what makes
+// them visible to readers.
+func (tr *Tracer) publish(s *Span) {
+	s.seq = tr.seq.Add(1)
+	tr.ring[(s.seq-1)%uint64(len(tr.ring))].Store(s)
 }
 
-// Recent returns the retained ops oldest-first.
+// record builds the OpRecord of a published span.
+func (s *Span) record() OpRecord {
+	return OpRecord{
+		Seq: s.seq, Trace: s.trace, Span: s.id, Parent: s.parent,
+		Op: s.op, Detail: s.detail, Depth: int(s.depth),
+		Start: wallTime(s.start), Dur: s.dur, Err: s.err,
+	}
+}
+
+// Recent returns the retained ops oldest-first, numbered by strictly
+// rising Seq. A span still being published when Recent reads its slot is
+// left out, as is one a later span has already replaced.
 func (tr *Tracer) Recent() []OpRecord {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := tr.seq
+	last := tr.seq.Load()
 	capacity := uint64(len(tr.ring))
-	if n > capacity {
-		n = capacity
+	first := uint64(1)
+	if last > capacity {
+		first = last - capacity + 1
 	}
-	out := make([]OpRecord, 0, n)
-	for i := tr.seq - n; i < tr.seq; i++ {
-		out = append(out, tr.ring[i%capacity])
+	out := make([]OpRecord, 0, last-first+1)
+	for n := first; n <= last; n++ {
+		if s := tr.ring[(n-1)%capacity].Load(); s != nil && s.seq == n {
+			out = append(out, s.record())
+		}
 	}
 	return out
 }
 
-// Reset discards all retained ops and restarts the sequence.
+// Reset discards all retained ops and restarts the sequence. A span
+// published while Reset runs may survive it or not; Recent never reports
+// it under a number it does not hold.
 func (tr *Tracer) Reset() {
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
+	tr.seq.Store(0)
 	for i := range tr.ring {
-		tr.ring[i] = OpRecord{}
+		tr.ring[i].Store(nil)
 	}
-	tr.seq = 0
 }
 
 // WriteText dumps the retained ops oldest-first, one per line, indented by

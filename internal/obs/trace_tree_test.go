@@ -160,8 +160,7 @@ func TestSamplingDeterministic(t *testing.T) {
 }
 
 // TestOpRecordJSONShape pins the wire format: machine-first timing
-// (start_unix_ns, dur_ns), hex ids, and the legacy RFC3339 start key kept
-// one release for old scrapers.
+// (start_unix_ns, dur_ns) and hex ids, with no RFC3339 start key.
 func TestOpRecordJSONShape(t *testing.T) {
 	rec := OpRecord{
 		Seq: 7, Trace: 0xabcd, Span: 0x12, Parent: 0x11,
@@ -191,8 +190,8 @@ func TestOpRecordJSONShape(t *testing.T) {
 			t.Errorf("json[%q] = %v (%T), want %v", key, got, got, want)
 		}
 	}
-	if _, ok := m["start"].(string); !ok {
-		t.Errorf("legacy start key missing: %v", m)
+	if _, ok := m["start"]; ok {
+		t.Errorf("legacy start key still emitted: %v", m)
 	}
 
 	var back OpRecord
@@ -204,13 +203,14 @@ func TestOpRecordJSONShape(t *testing.T) {
 		t.Fatalf("round trip = %+v, want %+v", back, rec)
 	}
 
-	// Legacy payloads without start_unix_ns still parse via the RFC3339 key.
+	// The start comes from start_unix_ns alone; an RFC3339 start key is
+	// ignored.
 	var legacy OpRecord
-	if err := json.Unmarshal([]byte(`{"seq":1,"op":"x","start":"2026-01-02T03:04:05Z","dur_ns":9}`), &legacy); err != nil {
+	if err := json.Unmarshal([]byte(`{"seq":1,"op":"x","start":"2026-01-02T03:04:05Z","start_unix_ns":5,"dur_ns":9}`), &legacy); err != nil {
 		t.Fatal(err)
 	}
-	if want := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC); !legacy.Start.Equal(want) {
-		t.Fatalf("legacy start = %v, want %v", legacy.Start, want)
+	if want := time.Unix(0, 5); !legacy.Start.Equal(want) {
+		t.Fatalf("start = %v, want %v from start_unix_ns", legacy.Start, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Context propagation for trace identity. Span values themselves are
 // goroutine-local; what crosses API boundaries and goroutine hops is the
@@ -12,24 +15,30 @@ import "context"
 // spanCtxKey is the private context key for the current span.
 type spanCtxKey struct{}
 
-// spanCtx is the context StartCtx returns: the caller's context with one
-// more value, the new span. It lives inside its span, so starting a span
-// under a context allocates once, and SpanFromContext finds the span
+// spanCtx is the context StartCtx returns: the span itself, seen as the
+// caller's context with one more value, the span. Starting a span under a
+// context therefore allocates once, and SpanFromContext finds the span
 // without walking the chain. Deadline, Done and Err are the parent's, and
 // every other value resolves in the parent, as with context.WithValue.
-// Its fields are set before StartCtx returns and never change, so any
-// number of goroutines may use it.
-type spanCtx struct {
-	context.Context
-	span *Span
-}
+// The span's ctx field is set before StartCtx returns and never changes,
+// so any number of goroutines may use it.
+type spanCtx Span
+
+// Deadline returns the parent's deadline.
+func (c *spanCtx) Deadline() (time.Time, bool) { return c.ctx.Deadline() }
+
+// Done returns the parent's done channel.
+func (c *spanCtx) Done() <-chan struct{} { return c.ctx.Done() }
+
+// Err returns the parent's error.
+func (c *spanCtx) Err() error { return c.ctx.Err() }
 
 // Value returns the span for the span key and asks the parent otherwise.
 func (c *spanCtx) Value(key any) any {
 	if _, ok := key.(spanCtxKey); ok {
-		return c.span
+		return (*Span)(c)
 	}
-	return c.Context.Value(key)
+	return c.ctx.Value(key)
 }
 
 // ContextWithSpan returns a context carrying s as the current span. A nil
@@ -49,7 +58,7 @@ func SpanFromContext(ctx context.Context) *Span {
 	case nil:
 		return nil
 	case *spanCtx:
-		return c.span
+		return (*Span)(c)
 	}
 	s, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return s
@@ -87,6 +96,6 @@ func (tr *Tracer) StartCtx(ctx context.Context, op, detail string) (context.Cont
 	if s == nil { // the tracer was disabled since the check above
 		return ctx, nil
 	}
-	s.ctx = spanCtx{Context: ctx, span: s}
-	return &s.ctx, s
+	s.ctx = ctx
+	return (*spanCtx)(s), s
 }

@@ -3,9 +3,12 @@ package obs
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 type ctxTestKey string
@@ -135,16 +138,36 @@ func TestFinishDurRecordsCallerDuration(t *testing.T) {
 }
 
 // TestStartCtxAllocatesOnce: a span and the context it hands out are one
-// allocation.
+// allocation, of 128 bytes: a span that grew past its size class would
+// cost every traced op the next class.
 func TestStartCtxAllocatesOnce(t *testing.T) {
 	tr := NewTracer(8)
 	ctx, root := tr.StartCtx(context.Background(), "test.root", "")
 	defer root.Finish()
-	got := testing.AllocsPerRun(100, func() {
+	run := func() {
 		_, sp := tr.StartCtx(ctx, "test.child", "")
 		sp.Finish()
-	})
-	if got != 1 {
+	}
+	if got := testing.AllocsPerRun(100, run); got != 1 {
 		t.Errorf("StartCtx and Finish allocate %v times, want 1", got)
+	}
+	if size := unsafe.Sizeof(Span{}); size != 128 {
+		t.Errorf("Span is %d bytes, want 128", size)
+	}
+	// The bytes, as the allocator counts them: the least of a few tries,
+	// so an allocation elsewhere in the process does not count.
+	const n = 1000
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	if least > 128 {
+		t.Errorf("StartCtx and Finish allocate %d bytes, want 128", least)
 	}
 }

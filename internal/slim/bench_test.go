@@ -49,6 +49,32 @@ func BenchmarkDMIGet(b *testing.B) {
 	}
 }
 
+// BenchmarkDMIGetParallel is BenchmarkDMIGet run from -cpu goroutines at
+// once, all reading the same instance: its ns/op at -cpu 2 over -cpu 1 is
+// how a DMI read scales across cores.
+func BenchmarkDMIGetParallel(b *testing.B) {
+	d := benchDMI(b)
+	obj, err := d.Create(metamodel.ConstructBundle, map[string]any{
+		metamodel.ConnBundleName:   "b",
+		metamodel.ConnBundlePos:    "1,2",
+		metamodel.ConnBundleWidth:  100,
+		metamodel.ConnBundleHeight: 100,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := d.Get(obj.ID); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 func BenchmarkDMISet(b *testing.B) {
 	d := benchDMI(b)
 	obj, _ := d.Create(metamodel.ConstructBundle, map[string]any{metamodel.ConnBundleName: "b"})

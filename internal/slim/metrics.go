@@ -60,11 +60,12 @@ func (k *dmiOpKind) resolve() {
 }
 
 // dmiOp is an in-flight DMI operation; start with startOpCtx, finish with
-// done. Its latency is timed from its span's start, so the histogram and
-// the span share one start and one end read of the clock.
+// done. Its latency is timed from its span's start (obs.Span.StartNS), so
+// the histogram and the span share one start and one end read of the
+// monotonic clock.
 type dmiOp struct {
 	kind  *dmiOpKind
-	start time.Time
+	start int64
 	span  *obs.Span
 }
 
@@ -75,13 +76,13 @@ type dmiOp struct {
 func startOpCtx(ctx context.Context, kind *dmiOpKind, detail string) (context.Context, dmiOp) {
 	kind.resolve()
 	ctx, span := obs.StartCtx(ctx, kind.span, detail)
-	return ctx, dmiOp{kind: kind, start: span.StartTime(), span: span}
+	return ctx, dmiOp{kind: kind, start: span.StartNS(), span: span}
 }
 
 // done records the operation. triples is the number of triples the op
 // touched (read or wrote); pass 0 when the op failed before touching any.
 func (o dmiOp) done(triples int, err error) {
-	d := time.Since(o.start)
+	d := time.Duration(obs.Nanotime() - o.start)
 	o.kind.ns.Observe(int64(d))
 	o.kind.total.Inc()
 	if err != nil {

@@ -75,16 +75,30 @@ func (o *Object) GetInt(connectorID string) int64 {
 
 // All returns every value of the connector, in deterministic order.
 func (o *Object) All(connectorID string) []rdf.Term {
-	run := o.run(connectorID)
-	if len(run) == 0 {
+	vs := o.Values(connectorID)
+	if vs.Len() == 0 {
 		return nil
 	}
-	out := make([]rdf.Term, len(run))
-	for i, t := range run {
-		out[i] = t.Object
+	out := make([]rdf.Term, vs.Len())
+	for i := range out {
+		out[i] = vs.At(i)
 	}
 	return out
 }
+
+// Values is a read-only view of one connector's values, in All's order.
+// It shares the Object's storage, so taking and walking it allocates
+// nothing.
+type Values struct{ run []rdf.Triple }
+
+// Values returns the connector's values without copying them.
+func (o *Object) Values(connectorID string) Values { return Values{o.run(connectorID)} }
+
+// Len returns the number of values.
+func (v Values) Len() int { return len(v.run) }
+
+// At returns the i-th value, 0 <= i < Len().
+func (v Values) At(i int) rdf.Term { return v.run[i].Object }
 
 // Connectors returns the connector IRIs that have values, sorted.
 func (o *Object) Connectors() []string {

@@ -97,24 +97,40 @@ func (b bundleView) Scraps() []rdf.Term {
 	return b.obj.All(metamodel.ConnBundleContent)
 }
 
+// scrapView is handed out as a pointer, so a scrap read boxes nothing:
+// the view is one allocation, holding a scrap's only handle itself (every
+// scrap has at least one) and any further handles in more.
 type scrapView struct {
-	obj     *slim.Object
-	handles []handleView // boxed only when MarkHandles copies them out
+	obj   *slim.Object
+	first handleView
+	more  []handleView // boxed only when MarkHandles copies them out
+	n     int          // handles held: 0, or 1 + len(more)
 }
 
-func (s scrapView) ID() rdf.Term      { return s.obj.ID }
-func (s scrapView) ScrapName() string { return s.obj.GetString(metamodel.ConnScrapName) }
-func (s scrapView) Pos() Coordinate {
+// add appends the scrap's next handle.
+func (s *scrapView) add(h handleView) {
+	if s.n == 0 {
+		s.first = h
+	} else {
+		s.more = append(s.more, h)
+	}
+	s.n++
+}
+
+func (s *scrapView) ID() rdf.Term      { return s.obj.ID }
+func (s *scrapView) ScrapName() string { return s.obj.GetString(metamodel.ConnScrapName) }
+func (s *scrapView) Pos() Coordinate {
 	c, _ := ParseCoordinate(s.obj.GetString(metamodel.ConnScrapPos))
 	return c
 }
-func (s scrapView) MarkHandles() []MarkHandle {
-	if len(s.handles) == 0 {
+func (s *scrapView) MarkHandles() []MarkHandle {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]MarkHandle, len(s.handles))
-	for i, h := range s.handles {
-		out[i] = h
+	out := make([]MarkHandle, 0, s.n)
+	out = append(out, s.first)
+	for _, h := range s.more {
+		out = append(out, h)
 	}
 	return out
 }

@@ -239,15 +239,16 @@ func (d *DMI) scrapOf(obj *slim.Object) (Scrap, error) {
 	if obj.Construct != metamodel.ConstructScrap {
 		return nil, fmt.Errorf("slimpad: %s is a %s, not a Scrap", obj.ID.Value(), obj.Construct)
 	}
-	var handles []handleView
-	for _, h := range obj.All(metamodel.ConnScrapMark) {
-		hv := handleView{id: h}
-		if t, err := d.store.Trim().One(rdf.P(h, metamodel.PropMarkID, rdf.Zero)); err == nil {
+	v := &scrapView{obj: obj}
+	handles := obj.Values(metamodel.ConnScrapMark)
+	for i := 0; i < handles.Len(); i++ {
+		hv := handleView{id: handles.At(i)}
+		if t, err := d.store.Trim().One(rdf.P(hv.id, metamodel.PropMarkID, rdf.Zero)); err == nil {
 			hv.markID = t.Object.Value()
 		}
-		handles = append(handles, hv)
+		v.add(hv)
 	}
-	return scrapView{obj: obj, handles: handles}, nil
+	return v, nil
 }
 
 // Pads lists every pad in the store.

@@ -378,3 +378,32 @@ func TestScrapLabelMayDifferFromContent(t *testing.T) {
 		t.Fatal("label not stored verbatim")
 	}
 }
+
+// TestScrapReadAllocations guards a scrap read: the Get's four
+// allocations (two spans, the subject select's result, the Object) and
+// the view, which holds a one-mark scrap's handle itself. Walking the
+// scrapMark values, resolving the handle's mark id and returning the view
+// allocate nothing more, and MarkHandles still answers.
+func TestScrapReadAllocations(t *testing.T) {
+	d := newDMI(t)
+	s, err := d.CreateScrap("Na 140", Coordinate{1, 2}, "mark-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 5
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := d.Scrap(s.ID()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Errorf("a one-mark scrap read allocates %v times, want at most %d", got, want)
+	}
+	read, err := d.Scrap(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs := read.MarkHandles(); len(hs) != 1 || hs[0].MarkID() != "mark-000001" {
+		t.Fatalf("MarkHandles = %v", hs)
+	}
+}

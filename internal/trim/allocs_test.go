@@ -89,7 +89,7 @@ func TestSelectShapeKeys(t *testing.T) {
 				cards = append(cards, pc, pc) // the second read comes from the table
 			}
 			for _, card := range cards {
-				if got := selectShape(p, choice, card); got != want {
+				if got := selectShape(p, choice, card).Key(); got != want {
 					t.Errorf("mask %03b %s (table %v): key %q, want %q", mask, choice, card != nil, got, want)
 				}
 			}
@@ -117,9 +117,10 @@ func TestReusedPredicateIDShapeKey(t *testing.T) {
 		t.Fatalf("the new predicate took id %d, not the freed %d", got, id)
 	}
 	m.mu.RLock()
-	_, _, shape := m.selectExplainLocked(rdf.P(rdf.Zero, next, rdf.Zero), nil, nil)
+	var e Explain
+	_, shape := m.selectExplainLocked(&e, rdf.P(rdf.Zero, next, rdf.Zero), nil, nil)
 	m.mu.RUnlock()
-	if want := "select ?p? index=predicate pred=http://t/next"; shape != want {
-		t.Fatalf("shape key %q, want %q", shape, want)
+	if want := "select ?p? index=predicate pred=http://t/next"; shape.Key() != want {
+		t.Fatalf("shape key %q, want %q", shape.Key(), want)
 	}
 }

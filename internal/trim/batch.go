@@ -2,6 +2,7 @@ package trim
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -119,20 +120,16 @@ func (b *Batch) apply(sp *obs.Span) error {
 		return err
 	}
 	b.done = true
-	c := startClock(sp)
-	mBatchTotal.Inc()
-	mBatchOps.Observe(int64(b.Len()))
-
+	start := sp.StartNS()
 	m := b.m
-	m.mu.Lock()
+	m.mu.LockAt(start)
 	err := b.applyLocked(m)
 	// Observer delivery happens after unlock; on rollback the staged
 	// events include the inverse operations, so observers still see a
 	// sequence that nets out to no change.
-	events, targets := m.drainLocked()
-	m.mu.Unlock()
-	m.deliver(targets, events)
-	d := c.elapsed()
+	d := time.Duration(m.unlockDeliver() - start)
+	mBatchTotal.Inc()
+	mBatchOps.Observe(int64(b.Len()))
 	mBatchNS.Observe(int64(d))
 	sp.FinishDur(d, err)
 	return err

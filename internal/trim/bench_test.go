@@ -3,6 +3,7 @@ package trim
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/rdf"
@@ -68,6 +69,52 @@ func BenchmarkSelectBare(b *testing.B) {
 			b.Fatal("wrong result")
 		}
 	}
+}
+
+// BenchmarkSelectBySubjectParallel is BenchmarkSelectBySubject run from
+// -cpu goroutines at once: its ns/op at -cpu 2 over -cpu 1 is how an
+// instrumented select scales across cores.
+func BenchmarkSelectBySubjectParallel(b *testing.B) {
+	m := NewManager()
+	for i := 0; i < 10000; i++ {
+		m.Create(benchTriple(i))
+	}
+	pat := rdf.P(rdf.IRI("http://t/s5000"), rdf.Zero, rdf.Zero)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if len(m.Select(pat)) != 1 {
+				b.Error("wrong result")
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkSelectBareParallel is BenchmarkSelectBare run from -cpu
+// goroutines at once, under a plain sync.RWMutex read lock as a store
+// needs: the scaling BenchmarkSelectBySubjectParallel would show if its
+// instrumentation wrote nothing shared.
+func BenchmarkSelectBareParallel(b *testing.B) {
+	m := NewManager()
+	for i := 0; i < 10000; i++ {
+		m.Create(benchTriple(i))
+	}
+	pat := rdf.P(rdf.IRI("http://t/s5000"), rdf.Zero, rdf.Zero)
+	var mu sync.RWMutex
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			mu.RLock()
+			q, list, choice := m.st.plan(pat)
+			n := len(m.st.collect(q, list, choice, nil, nil))
+			mu.RUnlock()
+			if n != 1 {
+				b.Error("wrong result")
+				return
+			}
+		}
+	})
 }
 
 // hubGraph returns n triples on one subject and one predicate, with the

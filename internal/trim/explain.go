@@ -73,28 +73,28 @@ func (c indexChoice) String() string {
 	}
 }
 
-// explainLocked starts an execution report with the store-wide fields.
-func (m *Manager) explainLocked(op string, index indexChoice) Explain {
-	return Explain{
-		Op:         op,
-		Index:      index.String(),
-		Observers:  len(m.seqObservers),
-		StoreSize:  len(m.st.rows),
-		Generation: m.generation,
-	}
+// explainLocked starts the execution report e, which is empty, with the
+// store-wide fields. It fills e in place: a select's report is never
+// copied whole on its way through the query.
+func (m *Manager) explainLocked(e *Explain, op string, index indexChoice) {
+	e.Op = op
+	e.Index = index.String()
+	e.Observers = len(m.seqObservers)
+	e.StoreSize = len(m.st.rows)
+	e.Generation = m.generation
 }
 
 // selectExplainLocked is the single implementation behind Select,
 // SelectFiltered, SelectExplain and One: it runs the planner, scans,
 // keeps the matches keep accepts (all of them when keep is nil), in buf
-// when it has room (store.collect), and fills every Explain field except
-// Query and WallNS (the caller owns those). It also returns the query's
-// shape key for the heavy-hitter sketch (shapes.go). Only the matching
-// rows become rdf.Triple values.
-func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool, buf []rdf.Triple) ([]rdf.Triple, Explain, string) {
+// when it has room (store.collect), and fills every field of the empty
+// report e except Query and WallNS (the caller owns those). It also returns the query's
+// shape count (shapes.go). Only the matching rows become rdf.Triple
+// values.
+func (m *Manager) selectExplainLocked(e *Explain, p rdf.Pattern, keep func(rdf.Triple) bool, buf []rdf.Triple) ([]rdf.Triple, *obs.ShapeCount) {
 	q, list, choice := m.st.plan(p)
 	choice.count()
-	e := m.explainLocked("select", choice)
+	m.explainLocked(e, "select", choice)
 	var pc *predCard // the bound predicate's statistics, nil when unbound or absent
 	if q[posP] >= 0 {
 		pc = m.st.predCards[q[posP]]
@@ -106,13 +106,15 @@ func (m *Manager) selectExplainLocked(p rdf.Pattern, keep func(rdf.Triple) bool,
 	}
 	out := m.st.collect(q, list, choice, keep, buf)
 	e.Matched = len(out)
-	return out, e, selectShape(p, choice, pc)
+	return out, selectShape(p, choice, pc)
 }
 
 // SelectExplain is Select plus an execution report. It records the same
 // metrics as Select and journals slow queries with their EXPLAIN line.
 func (m *Manager) SelectExplain(p rdf.Pattern) ([]rdf.Triple, Explain) {
-	return m.selectQuery(nil, p, nil, true, nil)
+	var e Explain
+	out := m.selectQuery(nil, p, nil, &e, nil)
+	return out, e
 }
 
 // ViewExplain is View plus an execution report: Candidates counts the
@@ -131,10 +133,11 @@ func (m *Manager) PathExplain(start []rdf.Term, predicates ...rdf.Term) ([]rdf.T
 // pathExplain is PathExplain traced by sp (nil for none), which it
 // finishes.
 func (m *Manager) pathExplain(sp *obs.Span, start, predicates []rdf.Term) ([]rdf.Term, Explain) {
-	c := startClock(sp)
-	m.mu.RLock()
+	begin := sp.StartNS()
+	m.mu.RLockAt(begin)
 	out, e := m.pathLocked(start, predicates, false)
-	m.mu.RUnlock()
+	end := obs.Nanotime()
+	m.mu.RUnlockAt(end)
 	var q string
 	for _, s := range start {
 		q += s.String() + " "
@@ -146,8 +149,8 @@ func (m *Manager) pathExplain(sp *obs.Span, start, predicates []rdf.Term) ([]rdf
 		q += p.String()
 	}
 	e.Query = q
-	e.WallNS = int64(c.elapsed())
+	e.WallNS = end - begin
 	recordPathShape(predicates, false)
-	c.finishQuery(sp, &e, true)
+	finishQuery(sp, &e, true)
 	return out, e
 }

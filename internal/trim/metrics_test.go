@@ -1,9 +1,12 @@
 package trim
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -120,5 +123,49 @@ func TestStatsIndexAndGeneration(t *testing.T) {
 	st = m.Stats()
 	if st.IndexSPO != 2 || st.Generation != 4 {
 		t.Errorf("after remove: spo=%d generation=%d, want 2, 4", st.IndexSPO, st.Generation)
+	}
+}
+
+// TestSelectLockAccounting: a select hands its clock readings to the
+// store lock, and the lock still counts as before. Each uncontended
+// select, traced or not, is one read acquisition with a zero wait; each
+// read epoch, not each reader, is one hold. k selects inside a read lock
+// the test holds open are k+1 acquisitions in one epoch.
+func TestSelectLockAccounting(t *testing.T) {
+	m := NewManager()
+	populate(m, 20)
+	total := obs.C(fmt.Sprintf(obs.FmtLockTotal, obs.LockTrimStore, "r"))
+	contended := obs.C(fmt.Sprintf(obs.FmtLockContended, obs.LockTrimStore, "r"))
+	wait := obs.H(fmt.Sprintf(obs.FmtLockWaitNS, obs.LockTrimStore, "r"))
+	hold := obs.H(fmt.Sprintf(obs.FmtLockHoldNS, obs.LockTrimStore, "r"))
+	type counts struct{ total, contended, waits, waitSum, holds int64 }
+	read := func() counts {
+		return counts{total.Value(), contended.Value(), wait.Count(), wait.Sum(), hold.Count()}
+	}
+	ctx, root := obs.StartCtx(context.Background(), "test.root", "")
+	defer root.Finish()
+	pat := rdf.P(rdf.IRI("http://t/s3"), rdf.Zero, rdf.Zero)
+	const k = 10
+
+	before := read()
+	for i := 0; i < k; i++ {
+		if i%2 == 0 {
+			m.Select(pat)
+		} else {
+			m.SelectCtx(ctx, pat)
+		}
+	}
+	if got, want := read(), (counts{before.total + k, before.contended, before.waits + k, before.waitSum, before.holds + k}); got != want {
+		t.Errorf("after %d selects: %+v, want %+v", k, got, want)
+	}
+
+	before = read()
+	m.mu.RLock()
+	for i := 0; i < k; i++ {
+		m.One(rdf.P(rdf.IRI("http://t/s3"), rdf.IRI("http://t/p3"), rdf.Zero))
+	}
+	m.mu.RUnlock()
+	if got, want := read(), (counts{before.total + k + 1, before.contended, before.waits + k + 1, before.waitSum, before.holds + 1}); got != want {
+		t.Errorf("after %d selects in one epoch: %+v, want %+v", k, got, want)
 	}
 }

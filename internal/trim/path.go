@@ -43,7 +43,8 @@ func (m *Manager) pathLocked(start, predicates []rdf.Term, inverse bool) ([]rdf.
 	if inverse {
 		from, to, index = posO, posS, indexObject
 	}
-	e := m.explainLocked("path", index)
+	var e Explain
+	m.explainLocked(&e, "path", index)
 	if len(predicates) == 0 {
 		out := make([]rdf.Term, 0, len(start))
 		for _, s := range start {

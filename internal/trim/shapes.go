@@ -8,18 +8,21 @@ import (
 	"repro/internal/rdf"
 )
 
-// Query-shape keys for the heavy-hitter profiler (obs.DefaultTopQueries):
-// every read entry point records a compact shape — op kind, bound-position
+// Query-shape counts for the heavy-hitter profiler (obs.DefaultTopQueries):
+// every read entry point counts a compact shape — op kind, bound-position
 // mask, index choice, and the predicate when one is bound — so /debug/top
 // and `trimq top` can rank which query families dominate a live store.
 // Keys deliberately exclude subject/object values: shapes stay bounded by
 // the schema (predicates in use), not by the data.
 //
 // A select's key is fixed by its mask, its index choice and its predicate,
-// so each key is built once, not per select: keys with no predicate come
-// from wildShapes, built at init, and each predicate keeps its own keys in
-// its cardinality record (predCard.shapes), a table allocated on the
-// predicate's first select and filled one key at a time.
+// so each key is built once, not per select, and its obs.ShapeCount is
+// kept beside it: counting a select is one atomic add on the count, with
+// no key built and no lookup. Keys with no predicate come from
+// wildShapes, built at init, and each predicate keeps its own in its
+// cardinality record (predCard.shapes), a table allocated on the
+// predicate's first select and filled one key at a time. Counts are
+// process-wide: stores that share a key share its count.
 
 // selectKey renders a select's shape key.
 func selectKey(mask int, choice indexChoice, p rdf.Pattern) string {
@@ -30,37 +33,37 @@ func selectKey(mask int, choice indexChoice, p rdf.Pattern) string {
 	return key
 }
 
-// wildShapes holds the keys of selects with no predicate bound, by mask
+// wildShapes holds the counts of selects with no predicate bound, by mask
 // and index choice.
-var wildShapes = func() (keys [8][4]string) {
-	for mask := range keys {
+var wildShapes = func() (shapes [8][4]*obs.ShapeCount) {
+	for mask := range shapes {
 		if mask&maskP != 0 {
 			continue
 		}
-		for choice := range keys[mask] {
-			keys[mask][choice] = selectKey(mask, indexChoice(choice), rdf.Pattern{})
+		for choice := range shapes[mask] {
+			shapes[mask][choice] = obs.QueryShape(selectKey(mask, indexChoice(choice), rdf.Pattern{}))
 		}
 	}
-	return keys
+	return shapes
 }()
 
-// predShapes is one predicate's select keys, by whether the subject and
+// predShapes is one predicate's select counts, by whether the subject and
 // the object are bound and by index choice (a bound predicate is never a
 // scan). Concurrent selects share the store's read lock, so a slot is
-// filled with a compare-and-swap; two selects racing to fill one build
-// equal keys.
-type predShapes [4 * 3]atomic.Pointer[string]
+// filled with a compare-and-swap; two selects racing to fill one look up
+// the same count.
+type predShapes [4 * 3]atomic.Pointer[obs.ShapeCount]
 
-// selectShape returns a select's shape key. pc is the bound predicate's
+// selectShape returns a select's shape count. pc is the bound predicate's
 // cardinality record: nil when no predicate is bound, or when the store
-// holds none of its triples, which builds the key afresh.
-func selectShape(p rdf.Pattern, choice indexChoice, pc *predCard) string {
+// holds none of its triples, which looks the key up afresh.
+func selectShape(p rdf.Pattern, choice indexChoice, pc *predCard) *obs.ShapeCount {
 	mask := patMask(p)
 	if mask&maskP == 0 {
 		return wildShapes[mask][choice]
 	}
 	if pc == nil {
-		return selectKey(mask, choice, p)
+		return obs.QueryShape(selectKey(mask, choice, p))
 	}
 	table := pc.shapes.Load()
 	if table == nil {
@@ -72,18 +75,16 @@ func selectShape(p rdf.Pattern, choice indexChoice, pc *predCard) string {
 		bound |= 2
 	}
 	slot := &table[bound*3+int(choice)-int(indexSubject)]
-	if key := slot.Load(); key != nil {
-		return *key
+	if shape := slot.Load(); shape != nil {
+		return shape
 	}
-	key := selectKey(mask, choice, p)
-	slot.CompareAndSwap(nil, &key)
-	return key
+	shape := obs.QueryShape(selectKey(mask, choice, p))
+	slot.CompareAndSwap(nil, shape)
+	return shape
 }
 
-// recordViewShape records one reachability view.
-func recordViewShape() {
-	obs.RecordQueryShape("view index=subject")
-}
+// viewShape counts reachability views.
+var viewShape = obs.QueryShape("view index=subject")
 
 // recordPathShape records one predicate-path walk; inverse walks run on
 // the object index.
@@ -99,5 +100,5 @@ func recordPathShape(predicates []rdf.Term, inverse bool) {
 		}
 		key += p.Value()
 	}
-	obs.RecordQueryShape(key)
+	obs.QueryShape(key).Record()
 }

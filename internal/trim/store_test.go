@@ -138,8 +138,8 @@ func checkCards(t *testing.T, st *store) {
 		}
 		if table := pc.shapes.Load(); table != nil {
 			for i := range table {
-				if key := table[i].Load(); key != nil && !strings.HasSuffix(*key, " pred="+st.term(p).Value()) {
-					t.Fatalf("record of %v caches shape key %q", st.term(p), *key)
+				if shape := table[i].Load(); shape != nil && !strings.HasSuffix(shape.Key(), " pred="+st.term(p).Value()) {
+					t.Fatalf("record of %v caches shape key %q", st.term(p), shape.Key())
 				}
 			}
 		}

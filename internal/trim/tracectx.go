@@ -47,47 +47,22 @@ func patMask(p rdf.Pattern) int {
 // patShape renders a pattern's bound/wildcard mask.
 func patShape(p rdf.Pattern) string { return maskNames[patMask(p)] }
 
-// clock times one TRIM op on the clock reads its instrumentation makes
-// anyway. A traced op times from its span's start, so the op's latency
-// histogram and its span share one start and one end read; an untraced op
-// reads only the monotonic clock. Either reads the wall clock only when a
-// slow op is journaled.
-type clock struct {
-	start time.Time // the span's start; zero for an untraced op
-	mono  int64     // an untraced op's start (obs.Nanotime)
-}
-
-// startClock starts timing an op traced by sp, or untraced when sp is nil.
-func startClock(sp *obs.Span) clock {
-	if sp == nil {
-		return clock{mono: obs.Nanotime()}
-	}
-	return clock{start: sp.StartTime()}
-}
-
-// elapsed returns the time since the op started.
-func (c clock) elapsed() time.Duration {
-	if c.start.IsZero() {
-		return time.Duration(obs.Nanotime() - c.mono)
-	}
-	return time.Since(c.start)
-}
+// An instrumented TRIM op times itself from its span's start (obs.Span.
+// StartNS, a fresh reading when untraced) to one more reading of the
+// clock, and hands both readings to the store lock, so the op's latency
+// histogram, its span and the lock's wait and hold share one pair.
 
 // finishQuery ends a query whose report e is complete. An explained
 // query's span carries the EXPLAIN line as detail. A slow query is
 // journaled once, with its EXPLAIN line, not a second time by its span.
 // The span finishes with the query's wall time.
-func (c clock) finishQuery(sp *obs.Span, e *Explain, explain bool) {
+func finishQuery(sp *obs.Span, e *Explain, explain bool) {
 	if explain && sp != nil {
 		sp.SetDetail(e.String())
 	}
 	d := time.Duration(e.WallNS)
 	if obs.DefaultSlowOps.Slow(d) {
-		start := c.start
-		if start.IsZero() {
-			start = time.Now().Add(-d)
-		}
-		obs.DefaultSlowOps.Observe("trim."+e.Op, e.String(), start, d, nil)
+		obs.DefaultSlowOps.Observe("trim."+e.Op, e.String(), time.Now().Add(-d), d, nil)
 		sp.SkipJournal()
 	}
 	sp.FinishDur(d, nil)
@@ -123,8 +98,7 @@ func (m *Manager) SelectCtx(ctx context.Context, p rdf.Pattern) []rdf.Triple {
 // array and allocates no result, as One does.
 func (m *Manager) SelectBufCtx(ctx context.Context, p rdf.Pattern, buf []rdf.Triple) []rdf.Triple {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	out, _ := m.selectQuery(sp, p, nil, false, buf)
-	return out
+	return m.selectQuery(sp, p, nil, nil, buf)
 }
 
 // ViewCtx is View with the caller's trace attached.
@@ -138,7 +112,9 @@ func (m *Manager) ViewCtx(ctx context.Context, root rdf.Term) *rdf.Graph {
 // plan line becomes the span detail once the query has run.
 func (m *Manager) SelectExplainCtx(ctx context.Context, p rdf.Pattern) ([]rdf.Triple, Explain) {
 	_, sp := obs.StartCtx(ctx, "trim.select", patShape(p))
-	return m.selectQuery(sp, p, nil, true, nil)
+	var e Explain
+	out := m.selectQuery(sp, p, nil, &e, nil)
+	return out, e
 }
 
 // ViewExplainCtx is ViewExplain with the caller's trace attached; the plan

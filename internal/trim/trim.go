@@ -104,19 +104,19 @@ func (m *Manager) CreateGuardedCtx(ctx context.Context, t, requires rdf.Triple, 
 // create is CreateGuardedCtx traced by sp (nil for none), which it
 // finishes. The triple is validated before the lock is taken.
 func (m *Manager) create(sp *obs.Span, t, requires rdf.Triple, max int) (added bool, err error) {
-	c := startClock(sp)
+	start := sp.StartNS()
+	var end int64
 	if err = t.Validate(); err != nil {
 		err = fmt.Errorf("trim: create: %w", err)
+		end = obs.Nanotime()
 	} else {
-		m.mu.Lock()
+		m.mu.LockAt(start)
 		if err = m.guardLocked(t, requires, max); err == nil {
 			added = m.createLocked(t)
 		}
-		events, targets := m.drainLocked()
-		m.mu.Unlock()
-		m.deliver(targets, events)
+		end = m.unlockDeliver()
 	}
-	d := c.elapsed()
+	d := time.Duration(end - start)
 	mCreateNS.Observe(int64(d))
 	mCreateTotal.Inc()
 	switch {
@@ -276,30 +276,36 @@ func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 // explains and journals as one select. keep runs under the store's read
 // lock and must not call back into the Manager.
 func (m *Manager) SelectFiltered(p rdf.Pattern, keep func(rdf.Triple) bool) []rdf.Triple {
-	out, _ := m.selectQuery(nil, p, keep, false, nil)
-	return out
+	return m.selectQuery(nil, p, keep, nil, nil)
 }
 
 // selectQuery is every select entry point: the query under the read lock,
 // its latency, count and shape, and its span (nil for none), which it
 // finishes. The result uses buf's storage when it has room (buf is
-// empty; nil for none). The report's Query is filled when explain asks
-// for it or the query was slow.
-func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple) bool, explain bool, buf []rdf.Triple) ([]rdf.Triple, Explain) {
-	c := startClock(sp)
-	m.mu.RLock()
-	out, e, shape := m.selectExplainLocked(p, keep, buf)
-	m.mu.RUnlock()
-	d := c.elapsed()
+// empty; nil for none). An explained query passes its empty report as
+// explain, which comes back complete, its Query included; the report's
+// Query is also filled when the query was slow, for the journal.
+func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple) bool, explain *Explain, buf []rdf.Triple) []rdf.Triple {
+	var report Explain
+	e := explain
+	if e == nil {
+		e = &report
+	}
+	start := sp.StartNS()
+	m.mu.RLockAt(start)
+	out, shape := m.selectExplainLocked(e, p, keep, buf)
+	end := obs.Nanotime()
+	m.mu.RUnlockAt(end)
+	d := time.Duration(end - start)
 	mSelectNS.Observe(int64(d))
 	mSelectTotal.Inc()
-	obs.RecordQueryShape(shape)
+	shape.Record()
 	e.WallNS = int64(d)
-	if explain || obs.DefaultSlowOps.Slow(d) {
+	if explain != nil || obs.DefaultSlowOps.Slow(d) {
 		e.Query = p.String()
 	}
-	c.finishQuery(sp, &e, explain)
-	return out, e
+	finishQuery(sp, e, explain != nil)
+	return out
 }
 
 // selectLocked runs a selection under a held lock, with no report.
@@ -327,7 +333,7 @@ func (m *Manager) Count(p rdf.Pattern) int {
 // nothing.
 func (m *Manager) One(p rdf.Pattern) (rdf.Triple, error) {
 	var buf [2]rdf.Triple // room to tell one match from several
-	matches, _ := m.selectQuery(nil, p, nil, false, buf[:0])
+	matches := m.selectQuery(nil, p, nil, nil, buf[:0])
 	switch len(matches) {
 	case 0:
 		return rdf.Triple{}, fmt.Errorf("trim: no triple matches %v", p)
@@ -471,6 +477,20 @@ func (m *Manager) drainLocked() ([]obsEvent, []SeqObserver) {
 		targets = append(targets, o)
 	}
 	return events, targets
+}
+
+// unlockDeliver releases the write lock an op took with LockAt and
+// delivers the events it staged. It returns the clock reading the op ends
+// on: the lock's release, read again after a delivery.
+func (m *Manager) unlockDeliver() int64 {
+	events, targets := m.drainLocked()
+	end := obs.Nanotime()
+	m.mu.UnlockAt(end)
+	if len(events) > 0 && len(targets) > 0 {
+		m.deliver(targets, events)
+		end = obs.Nanotime()
+	}
+	return end
 }
 
 // deliver fans staged events out to the observer snapshot, in mutation

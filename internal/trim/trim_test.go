@@ -360,7 +360,8 @@ func TestSelectFilteredExplainCountsKept(t *testing.T) {
 	pat := rdf.P(rdf.Zero, rdf.IRI("http://t/p2"), rdf.Zero)
 	keep := func(x rdf.Triple) bool { return x.Object == rdf.String("v7") }
 	m.mu.RLock()
-	out, e, _ := m.selectExplainLocked(pat, keep, nil)
+	var e Explain
+	out, _ := m.selectExplainLocked(&e, pat, keep, nil)
 	m.mu.RUnlock()
 	if len(out) != 1 || e.Matched != 1 || e.Candidates != 20 || e.Index != "predicate" {
 		t.Errorf("filtered explain = %d triples, %+v; want 1 matched of 20 predicate candidates", len(out), e)

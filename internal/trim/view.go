@@ -2,6 +2,7 @@ package trim
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -32,26 +33,28 @@ func (m *Manager) ViewFiltered(root rdf.Term, filter func(rdf.Triple) bool) *rdf
 // finishes. The report's Query is filled when explain asks for it or the
 // view was slow.
 func (m *Manager) viewQuery(sp *obs.Span, root rdf.Term, filter func(rdf.Triple) bool, explain bool) (*rdf.Graph, Explain) {
-	c := startClock(sp)
-	m.mu.RLock()
+	start := sp.StartNS()
+	m.mu.RLockAt(start)
 	out, e := m.viewExplainLocked(root, filter)
-	m.mu.RUnlock()
-	d := c.elapsed()
+	end := obs.Nanotime()
+	m.mu.RUnlockAt(end)
+	d := time.Duration(end - start)
 	mViewNS.Observe(int64(d))
 	mViewTotal.Inc()
-	recordViewShape()
+	viewShape.Record()
 	e.WallNS = int64(d)
 	if explain || obs.DefaultSlowOps.Slow(d) {
 		e.Query = root.String()
 	}
-	c.finishQuery(sp, &e, explain)
+	finishQuery(sp, &e, explain)
 	return out, e
 }
 
 // viewExplainLocked is the reachability walk behind View, ViewFiltered,
 // and ViewExplain; Candidates counts every edge examined.
 func (m *Manager) viewExplainLocked(root rdf.Term, filter func(rdf.Triple) bool) (*rdf.Graph, Explain) {
-	e := m.explainLocked("view", indexSubject)
+	var e Explain
+	m.explainLocked(&e, "view", indexSubject)
 	out := rdf.NewGraph()
 	id := m.st.lookup(root)
 	if !root.IsResource() || id == noID {
