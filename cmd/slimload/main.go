@@ -96,10 +96,10 @@ func run(args []string, out io.Writer) error {
 	}
 	// Sample the runtime during the sweep even without -serve, so the
 	// runtime.* sched/GC families cover the loaded interval; with -serve
-	// the CLI has already started the recorder.
-	if cli.Serve == "" && cli.Flight > 0 {
-		obs.DefaultFlight.Start(cli.Flight)
-		defer obs.DefaultFlight.Stop()
+	// the CLI has already started the sampler.
+	if cli.Serve == "" {
+		obs.DefaultSampler.Start()
+		defer obs.DefaultSampler.Stop()
 	}
 	stateDir := *dir
 	if *backend != "" && stateDir == "" {

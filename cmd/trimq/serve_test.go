@@ -45,6 +45,29 @@ func TestStatsJSON(t *testing.T) {
 	}
 }
 
+// TestServedJSONIsOneDocument: a -json command under -serve prints one
+// JSON value and nothing after it, so a consumer can decode its output.
+func TestServedJSONIsOneDocument(t *testing.T) {
+	path := storeFile(t)
+	var out strings.Builder
+	if err := run([]string{"-store", path, "-serve", "127.0.0.1:0", "-json", "stats"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := obs.ActiveServer(); s == nil {
+		t.Fatal("-serve left no active server")
+	} else {
+		t.Cleanup(func() { s.Close() })
+	}
+	dec := json.NewDecoder(strings.NewReader(out.String()))
+	var stats map[string]any
+	if err := dec.Decode(&stats); err != nil {
+		t.Fatalf("stdout is not JSON: %v\n%s", err, out.String())
+	}
+	if rest, _ := io.ReadAll(dec.Buffered()); strings.TrimSpace(string(rest)) != "" || dec.More() {
+		t.Fatalf("stdout holds more than one JSON value; after it: %q", rest)
+	}
+}
+
 func TestExplainSelect(t *testing.T) {
 	path := storeFile(t)
 	var out strings.Builder
@@ -137,8 +160,10 @@ func TestServeWithMetrics(t *testing.T) {
 		t.Fatal("-serve left no active server")
 	}
 	t.Cleanup(func() { s.Close() })
-	if !strings.Contains(out.String(), "diagnostics: "+s.URL()) {
-		t.Errorf("output missing diagnostics URL: %s", out.String())
+	// The URL goes to stderr, when the binary stays up; the command's
+	// output holds only what the command printed.
+	if strings.Contains(out.String(), s.URL()) {
+		t.Errorf("output carries the diagnostics URL: %s", out.String())
 	}
 	// -metrics still prints the text dump alongside -serve.
 	if !strings.Contains(out.String(), "counter trim.load.triples") {
@@ -207,10 +232,24 @@ func TestServeWithMetrics(t *testing.T) {
 	if !foundStoreLock {
 		t.Fatalf("/debug/contention has no active %s entry:\n%s", obs.LockTrimStore, body)
 	}
-	// The `_rate` companion families ride the same scrape as the
-	// cumulative series.
-	if code, body := scrape(t, s.URL(), "/metrics"); code != http.StatusOK || !strings.Contains(body, "trim_load_triples_rate1m") {
-		t.Fatalf("/metrics missing rate families (status %d):\n%.2000s", code, body)
+	// The windowed rates are /debug/load's, not /metrics': the 1m window
+	// counts the store load.
+	if code, body := scrape(t, s.URL(), "/metrics"); code != http.StatusOK || strings.Contains(body, "_rate1m") {
+		t.Fatalf("/metrics carries windowed rate families (status %d):\n%.2000s", code, body)
+	}
+	code, body = scrape(t, s.URL(), "/debug/load")
+	var loaded struct {
+		Windows map[string]struct {
+			Counters map[string]struct {
+				Delta int64 `json:"delta"`
+			} `json:"counters"`
+		} `json:"windows"`
+	}
+	if err := json.Unmarshal([]byte(body), &loaded); err != nil || code != http.StatusOK {
+		t.Fatalf("/debug/load status %d: %v\n%s", code, err, body)
+	}
+	if _, ok := loaded.Windows["1m"].Counters[obs.NameTrimLoadTriples]; !ok {
+		t.Fatalf("/debug/load 1m window missing %s:\n%.2000s", obs.NameTrimLoadTriples, body)
 	}
 
 	// The space endpoint: the runtime memory classes plus the trim store's

@@ -80,10 +80,10 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bracket the workload with two window samples so the `_rate` families
-	// and /debug/load report a populated (if zero-rate) window.
-	obs.DefaultWindow.SampleNow()
-	obs.DefaultWindow.SampleNow()
+	// Bracket the workload with two samples so /debug/load reports a
+	// populated (if zero-rate) window.
+	obs.DefaultSampler.SampleNow()
+	obs.DefaultSampler.SampleNow()
 
 	// Scrape the default registry the way -serve exposes it.
 	srv := httptest.NewServer(obs.NewDiagMux(obs.ServeConfig{}))
@@ -107,19 +107,6 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		}
 	}
 
-	// The windowed companions: every cumulative series grows `_rate1m` and
-	// `_rate5m` gauges, and histograms delta-quantile `_q1m`/`_q5m`
-	// summaries (docs/OBSERVABILITY.md).
-	for _, family := range []string{
-		"trim_create_total_rate1m", "trim_select_total_rate5m",
-		"trim_select_ns_rate1m", `trim_select_ns_q1m{quantile="0.5"}`,
-		`mark_resolve_spreadsheet_ns_q5m{quantile="0.99"}`,
-	} {
-		if !strings.Contains(text, "\n"+family) {
-			t.Errorf("/metrics missing the windowed %s series", family)
-		}
-	}
-
 	// Every sample line must satisfy the exposition grammar.
 	sampleRe := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+]+$`)
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
@@ -131,8 +118,8 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		}
 	}
 
-	// /debug/load serves the same windows as JSON, covering every layer's
-	// counters.
+	// /debug/load serves the windowed rates and delta percentiles as JSON,
+	// covering every layer's counters and histograms.
 	resp, err = http.Get(srv.URL + "/debug/load")
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +135,9 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 			Counters map[string]struct {
 				Delta int64 `json:"delta"`
 			} `json:"counters"`
+			Histograms map[string]struct {
+				P99 int64 `json:"p99"`
+			} `json:"histograms"`
 		} `json:"windows"`
 	}
 	if err := json.Unmarshal(body, &load); err != nil {
@@ -163,6 +153,11 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		}
 		if _, ok := win.Counters["trim.create.total"]; !ok {
 			t.Errorf("/debug/load %s window missing trim.create.total", label)
+		}
+		for _, hist := range []string{"trim.select.ns", "mark.resolve.spreadsheet.ns"} {
+			if _, ok := win.Histograms[hist]; !ok {
+				t.Errorf("/debug/load %s window missing %s", label, hist)
+			}
 		}
 	}
 }

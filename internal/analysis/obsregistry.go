@@ -51,8 +51,6 @@ var instrumentationSinks = map[string]bool{
 	"Tracer.StartCtx": true,
 	"Span.Finish":     true,
 	"Span.FinishErr":  true,
-	// Slow-op journal.
-	"SlowOps.Observe": true,
 	// Workload analytics: an exact query-shape count.
 	"ShapeCount.Record": true,
 }

@@ -140,7 +140,7 @@ func (mm *Manager) CreateFromSelection(scheme string) (Mark, error) {
 
 	// Mark creation talks to the base application outside the lock; base
 	// apps have their own synchronization.
-	markDispatch(scheme)
+	markDispatch("create", scheme)
 	m, err := mod.CreateMark(id)
 	if err != nil {
 		markOpDone("create", scheme, start, err)
@@ -243,7 +243,7 @@ func (mm *Manager) ResolveWith(id, resolver string) (base.Element, error) {
 		markOpDone("resolve", m.Scheme(), start, err)
 		return base.Element{}, err
 	}
-	markDispatch(m.Scheme())
+	markDispatch("resolve", m.Scheme())
 	el, err := r(m)
 	markOpDone("resolve", m.Scheme(), start, err)
 	return el, err

@@ -133,3 +133,28 @@ func TestResolveShapeKeys(t *testing.T) {
 		t.Error("one (scheme, resolver) gave two shape counts")
 	}
 }
+
+// TestResolveAllocations guards a resolve's instrumentation: its latency
+// histogram and dispatch counter are looked up once per (op, scheme), and
+// its slow-ring detail is built only for a slow resolve, so recording a
+// resolve builds no metric name and no string.
+func TestResolveAllocations(t *testing.T) {
+	mm, sheets, _ := managerWithApps(t)
+	sheets.Open("meds.xls")
+	r, _ := spreadsheet.ParseRange("A2")
+	if err := sheets.SelectRange("Meds", r); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mm.CreateFromSelection(spreadsheet.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := mm.Resolve(m.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 5 {
+		t.Errorf("Resolve allocates %v times, want at most 5", got)
+	}
+}

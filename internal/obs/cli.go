@@ -2,7 +2,6 @@ package obs
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"time"
 )
@@ -13,9 +12,7 @@ import (
 //	-trace              dump the DefaultTracer ring buffer after the run
 //	-profile FILE       write a CPU profile of the run to FILE
 //	-serve ADDR         serve live diagnostics (/metrics, /healthz, /debug/*)
-//	-slowops DUR        set the slow-op journal latency threshold
-//	-flight DUR         runtime flight-recorder sampling interval under -serve
-//	-load DUR           windowed metrics sampling interval under -serve
+//	-slowops DUR        set the slow-op threshold of the tracer's slow ring
 //	-contention DUR     obs.contention health threshold (p95 lock wait) under -serve
 //	-mem-budget BYTES   obs.space health threshold (in-use heap) under -serve
 //	-trace-sample RATE  probabilistic trace sampling rate (errors always kept)
@@ -31,14 +28,11 @@ type CLI struct {
 	Profile     string
 	Serve       string
 	SlowOps     time.Duration
-	Flight      time.Duration
-	Load        time.Duration
 	TraceSample float64
 	Contention  time.Duration
 	MemBudget   int64
 
 	stopProfile func() error
-	server      *DiagServer
 }
 
 // Bind registers the observability flags on the flag set.
@@ -47,9 +41,7 @@ func (c *CLI) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Trace, "trace", false, "dump the recent-ops trace ring after the run")
 	fs.StringVar(&c.Profile, "profile", "", "write a CPU profile of the run to `file`")
 	fs.StringVar(&c.Serve, "serve", "", "serve live diagnostics on `addr` (e.g. :9090); the process stays up after the command until interrupted")
-	fs.DurationVar(&c.SlowOps, "slowops", 0, "journal instrumented ops slower than `dur` (0 keeps the current threshold)")
-	fs.DurationVar(&c.Flight, "flight", time.Second, "runtime flight-recorder sampling `interval` (with -serve)")
-	fs.DurationVar(&c.Load, "load", time.Second, "windowed metrics sampling `interval` for /debug/load (with -serve)")
+	fs.DurationVar(&c.SlowOps, "slowops", 0, "keep instrumented ops slower than `dur` in the slow ring (0 keeps the current threshold)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", 1, "record this fraction of trace roots (0..1; error spans are always kept)")
 	fs.DurationVar(&c.Contention, "contention", DefaultContentionThreshold, "degrade /healthz when any tracked lock's p95 wait exceeds `dur` (with -serve)")
 	fs.Int64Var(&c.MemBudget, "mem-budget", 0, "degrade /healthz when the in-use heap exceeds `bytes` (0 disables; with -serve)")
@@ -57,34 +49,27 @@ func (c *CLI) Bind(fs *flag.FlagSet) {
 
 // Start begins CPU profiling when -profile was given, applies the -slowops
 // threshold and -trace-sample rate, and — when -serve was given — starts
-// the diagnostics server, the runtime flight recorder, and the flight,
-// contention, and space health probes (-mem-budget arms the space probe;
-// without it obs.space always passes).
+// the diagnostics server, the sampler, and the flight, contention, and
+// space health probes (-mem-budget arms the space probe; without it
+// obs.space always passes).
 func (c *CLI) Start() error {
 	if c.SlowOps > 0 {
-		DefaultSlowOps.SetThreshold(c.SlowOps)
+		DefaultTracer.SetSlowThreshold(c.SlowOps)
 	}
 	if c.TraceSample != 1 {
 		DefaultTracer.SetSampleRate(c.TraceSample)
 	}
 	if c.Serve != "" {
-		s, err := Serve(c.Serve, ServeConfig{})
-		if err != nil {
+		if _, err := Serve(c.Serve, ServeConfig{}); err != nil {
 			return err
 		}
-		c.server = s
-		if c.Flight > 0 {
-			DefaultFlight.Start(c.Flight)
-			DefaultHealth.Register(HealthObsFlight, FlightCheck(DefaultFlight))
-		}
+		DefaultSampler.Start()
+		DefaultHealth.Register(HealthObsFlight, FlightCheck(DefaultSampler))
 		DefaultHealth.Register(HealthObsContention, ContentionCheck(DefaultLocks, c.Contention))
 		if c.MemBudget > 0 {
 			SetMemBudget(c.MemBudget)
 		}
 		DefaultHealth.Register(HealthObsSpace, SpaceCheck())
-		if c.Load > 0 {
-			DefaultWindow.Start(c.Load)
-		}
 	}
 	if c.Profile == "" {
 		return nil
@@ -97,13 +82,12 @@ func (c *CLI) Start() error {
 	return nil
 }
 
-// Server returns the diagnostics server started by -serve, or nil.
-func (c *CLI) Server() *DiagServer { return c.server }
-
 // Finish stops profiling and writes the requested reports to out. It
 // returns the first error encountered but always attempts every step.
 // The -serve server is left running; callers stop it via its Close (or
-// the binaries' wait-for-interrupt path).
+// the binaries' wait-for-interrupt path, which prints its URL on stderr).
+// Nothing else goes to out, so a -json command's output stays one JSON
+// document.
 func (c *CLI) Finish(out io.Writer) error {
 	var first error
 	if c.stopProfile != nil {
@@ -119,11 +103,6 @@ func (c *CLI) Finish(out io.Writer) error {
 	}
 	if c.Trace {
 		if err := DefaultTracer.WriteText(out); err != nil && first == nil {
-			first = err
-		}
-	}
-	if c.server != nil {
-		if _, err := fmt.Fprintf(out, "diagnostics: %s\n", c.server.URL()); err != nil && first == nil {
 			first = err
 		}
 	}

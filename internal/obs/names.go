@@ -144,9 +144,9 @@ const (
 	NameMarkResolveAttempts = "mark.resolve.attempts"
 )
 
-// Flight recorder gauges (internal/obs/flight.go): last-sample runtime
-// snapshot republished to /metrics so Prometheus can correlate trace
-// timings with GC and scheduler pressure.
+// Flight gauges (internal/obs/runtime.go): the sampler's last
+// runtime.MemStats reading, republished to /metrics so Prometheus can
+// correlate trace timings with GC and scheduler pressure.
 const (
 	NameFlightGoroutines  = "flight.goroutines"
 	NameFlightHeapAlloc   = "flight.heap.alloc.bytes"
@@ -156,8 +156,8 @@ const (
 	NameFlightGCNext      = "flight.gc.next.bytes"
 )
 
-// Workload analytics (internal/obs/window.go, shapes.go): the windowed
-// sampler's self-accounting and the query-shape occurrences counted.
+// Workload analytics (internal/obs/sampler.go, shapes.go): the sampler's
+// self-accounting and the query-shape occurrences counted.
 const (
 	NameObsWindowSamples = "obs.window.samples"
 	NameObsTopRecorded   = "obs.top.recorded"
@@ -215,13 +215,13 @@ const (
 	SpaceSourceTrimStore = "trim.store"
 )
 
-// Runtime scheduler and GC telemetry (internal/obs/flight.go over
+// Runtime scheduler and GC telemetry (internal/obs/runtime.go over
 // runtime/metrics): per-interval deltas of the runtime's cumulative
 // scheduling-latency and GC-pause distributions are replayed into these
 // histograms, so /metrics and /debug/load see scheduler stalls and GC
 // pressure alongside the store's own latencies. runtime.mutex.wait.ns is
 // the runtime's total goroutine-blocked-on-sync time (a counter, so the
-// window sampler turns it into a blocked-ns-per-second rate).
+// sampler's windows turn it into a blocked-ns-per-second rate).
 const (
 	NameRuntimeSchedLatencyNS = "runtime.sched.latency.ns"
 	NameRuntimeGCPauseNS      = "runtime.gc.pause.ns"

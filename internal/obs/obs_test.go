@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -273,20 +272,6 @@ func TestLogNilSafeDefault(t *testing.T) {
 	SetLogger(nil)
 	if LogEnabled() {
 		t.Fatal("logging still enabled after SetLogger(nil)")
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("exp.counter").Add(7)
-	r.PublishExpvar("test.obs.registry")
-	r.PublishExpvar("test.obs.registry") // second call must not panic
-	v := expvar.Get("test.obs.registry")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	if !strings.Contains(v.String(), `"exp.counter":7`) {
-		t.Fatalf("expvar value = %s", v.String())
 	}
 }
 

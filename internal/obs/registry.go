@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the SLIM stack: cheap atomic
 // counters and fixed-bucket latency histograms in a process-wide registry
-// (exportable via expvar, text, and JSON), a ring-buffered op tracer for
-// post-mortem dumps, nil-safe structured logging over log/slog, and a CPU
-// profiling helper shared by the binaries.
+// (exportable as Prometheus text, plain text, and JSON), a ring-buffered op
+// tracer for post-mortem dumps, nil-safe structured logging over log/slog,
+// and a CPU profiling helper shared by the binaries.
 //
 // The paper's §6 prices SLIM's flexibility in "space efficiency of the data
 // and the cost of interpreting manipulations on SLIM Store data" but offers
@@ -15,7 +15,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -63,7 +62,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	expvarOnce sync.Once
 }
 
 // NewRegistry returns an empty registry.
@@ -219,23 +217,3 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	_, counters, _, gauges, _, hists := r.snapshot()
 	return json.Marshal(registryJSON{Counters: counters, Gauges: gauges, Histograms: hists})
 }
-
-// String renders the registry as JSON; it makes *Registry an expvar.Var.
-func (r *Registry) String() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
-// PublishExpvar registers the registry with the expvar package under the
-// given name, making it visible on /debug/vars alongside the runtime's
-// variables. Safe to call more than once; only the first call (and its
-// name) takes effect, because expvar forbids re-publishing.
-func (r *Registry) PublishExpvar(name string) {
-	r.expvarOnce.Do(func() { expvar.Publish(name, r) })
-}
-
-// EnableExpvar publishes the Default registry as "slim.obs".
-func EnableExpvar() { Default.PublishExpvar("slim.obs") }

@@ -2,20 +2,21 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"runtime/metrics"
 )
 
 // runtime/metrics integration: the runtime exports cumulative
 // distributions of goroutine scheduling latency and GC pause time that
 // nothing in the stack surfaced — wedge detection could see goroutine
-// counts but not scheduler stalls. The flight recorder reads them every
-// sample, diffs against the previous read, and replays the per-interval
-// bucket deltas into registry histograms (runtime.sched.latency.ns,
-// runtime.gc.pause.ns), so /metrics, /debug/load's windowed quantiles,
-// and the flight ring all see scheduler and GC pressure alongside the
-// store's own latencies.
+// counts but not scheduler stalls. Each sampler tick reads them, diffs
+// against the previous read, and replays the per-interval bucket deltas
+// into registry histograms (runtime.sched.latency.ns, runtime.gc.pause.ns),
+// so /metrics and /debug/load's windows and runtime series see scheduler
+// and GC pressure alongside the store's own latencies. The same tick
+// republishes runtime.MemStats as the flight.* gauges.
 
-// Runtime metric names sampled each flight tick.
+// Runtime metric names sampled each tick.
 const (
 	rmSchedLatencies = "/sched/latencies:seconds"
 	rmGCPauses       = "/gc/pauses:seconds"
@@ -26,12 +27,16 @@ const (
 
 // runtimeSampler reads the runtime/metrics samples and tracks the
 // previous cumulative state so each read yields interval deltas. It is
-// not safe for concurrent use; the flight recorder serializes calls
-// under its own mutex.
+// not safe for concurrent use; the sampler serializes calls under its own
+// mutex.
 type runtimeSampler struct {
-	samples   []metrics.Sample
-	prevSched *metrics.Float64Histogram
-	prevGC    *metrics.Float64Histogram
+	reg     *Registry
+	samples []metrics.Sample
+	// prevSched and prevGC are the previous read's bucket counts, copied
+	// out: the runtime reuses the backing arrays across Read calls when
+	// handed the same sample slice.
+	prevSched []uint64
+	prevGC    []uint64
 	prevWait  float64
 
 	hSched    *Histogram
@@ -41,8 +46,9 @@ type runtimeSampler struct {
 	gMaxprocs *Gauge
 }
 
-func newRuntimeSampler() *runtimeSampler {
+func newRuntimeSampler(reg *Registry) *runtimeSampler {
 	return &runtimeSampler{
+		reg: reg,
 		samples: []metrics.Sample{
 			{Name: rmSchedLatencies},
 			{Name: rmGCPauses},
@@ -50,27 +56,27 @@ func newRuntimeSampler() *runtimeSampler {
 			{Name: rmHeapObjects},
 			{Name: rmGomaxprocs},
 		},
-		hSched:    H(NameRuntimeSchedLatencyNS),
-		hGC:       H(NameRuntimeGCPauseNS),
-		cWait:     C(NameRuntimeMutexWaitNS),
-		gObjects:  G(NameRuntimeHeapObjects),
-		gMaxprocs: G(NameRuntimeGomaxprocs),
+		hSched:    reg.Histogram(NameRuntimeSchedLatencyNS, LatencyBounds),
+		hGC:       reg.Histogram(NameRuntimeGCPauseNS, LatencyBounds),
+		cWait:     reg.Counter(NameRuntimeMutexWaitNS),
+		gObjects:  reg.Gauge(NameRuntimeHeapObjects),
+		gMaxprocs: reg.Gauge(NameRuntimeGomaxprocs),
 	}
 }
 
-// runtimeDelta is one interval's view of a cumulative runtime histogram.
-type runtimeDelta struct {
-	// boundsNS[i] is the representative value (upper bound, in
-	// nanoseconds) of counts[i].
-	boundsNS []int64
-	counts   []uint64
-	total    uint64
-}
+// read samples the runtime and updates the registry series: the flight.*
+// gauges, the replayed sched-latency and GC-pause histograms, the
+// mutex-wait counter, and the heap-object and GOMAXPROCS gauges.
+func (rs *runtimeSampler) read() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	rs.reg.Gauge(NameFlightGoroutines).Set(int64(runtime.NumGoroutine()))
+	rs.reg.Gauge(NameFlightHeapAlloc).Set(int64(ms.HeapAlloc))
+	rs.reg.Gauge(NameFlightHeapInuse).Set(int64(ms.HeapInuse))
+	rs.reg.Gauge(NameFlightGCCount).Set(int64(ms.NumGC))
+	rs.reg.Gauge(NameFlightGCPauseLast).Set(int64(ms.PauseNs[(ms.NumGC+255)%256]))
+	rs.reg.Gauge(NameFlightGCNext).Set(int64(ms.NextGC))
 
-// read samples the runtime, updates the registry series, and returns the
-// interval deltas of the two latency distributions plus the interval's
-// mutex-wait nanoseconds.
-func (rs *runtimeSampler) read() (sched, gc runtimeDelta, mutexWaitNS int64) {
 	metrics.Read(rs.samples)
 	for i := range rs.samples {
 		s := &rs.samples[i]
@@ -78,23 +84,20 @@ func (rs *runtimeSampler) read() (sched, gc runtimeDelta, mutexWaitNS int64) {
 		case rmSchedLatencies:
 			if s.Value.Kind() == metrics.KindFloat64Histogram {
 				cur := s.Value.Float64Histogram()
-				sched = histDelta(cur, rs.prevSched)
-				rs.prevSched = cloneRuntimeHist(cur)
-				replayDelta(rs.hSched, sched)
+				replayDelta(rs.hSched, cur, rs.prevSched)
+				rs.prevSched = append(rs.prevSched[:0], cur.Counts...)
 			}
 		case rmGCPauses:
 			if s.Value.Kind() == metrics.KindFloat64Histogram {
 				cur := s.Value.Float64Histogram()
-				gc = histDelta(cur, rs.prevGC)
-				rs.prevGC = cloneRuntimeHist(cur)
-				replayDelta(rs.hGC, gc)
+				replayDelta(rs.hGC, cur, rs.prevGC)
+				rs.prevGC = append(rs.prevGC[:0], cur.Counts...)
 			}
 		case rmMutexWait:
 			if s.Value.Kind() == metrics.KindFloat64 {
 				cur := s.Value.Float64()
 				if d := cur - rs.prevWait; d > 0 {
-					mutexWaitNS = int64(d * 1e9)
-					rs.cWait.Add(mutexWaitNS)
+					rs.cWait.Add(int64(d * 1e9))
 				}
 				rs.prevWait = cur
 			}
@@ -108,41 +111,6 @@ func (rs *runtimeSampler) read() (sched, gc runtimeDelta, mutexWaitNS int64) {
 			}
 		}
 	}
-	return sched, gc, mutexWaitNS
-}
-
-// cloneRuntimeHist copies the counts of a runtime histogram (the runtime
-// reuses the backing arrays across Read calls when handed the same
-// sample slice, so the previous state must be detached).
-func cloneRuntimeHist(h *metrics.Float64Histogram) *metrics.Float64Histogram {
-	return &metrics.Float64Histogram{
-		Counts:  append([]uint64(nil), h.Counts...),
-		Buckets: append([]float64(nil), h.Buckets...),
-	}
-}
-
-// histDelta subtracts prev from cur bucket-wise and converts the bucket
-// boundaries to nanosecond representatives. A nil or shape-mismatched
-// prev (first read, or the runtime regrew the distribution) yields the
-// full cumulative state.
-func histDelta(cur, prev *metrics.Float64Histogram) runtimeDelta {
-	d := runtimeDelta{
-		boundsNS: make([]int64, len(cur.Counts)),
-		counts:   make([]uint64, len(cur.Counts)),
-	}
-	samePrev := prev != nil && len(prev.Counts) == len(cur.Counts)
-	for i := range cur.Counts {
-		n := cur.Counts[i]
-		if samePrev && prev.Counts[i] <= n {
-			n -= prev.Counts[i]
-		} else if samePrev {
-			n = 0
-		}
-		d.counts[i] = n
-		d.total += n
-		d.boundsNS[i] = bucketNS(cur.Buckets, i)
-	}
-	return d
 }
 
 // bucketNS picks the representative nanosecond value for bucket i of a
@@ -160,52 +128,22 @@ func bucketNS(buckets []float64, i int) int64 {
 	return 0
 }
 
-// replayDelta feeds one interval's bucket deltas into a registry
-// histogram at each bucket's representative value.
-func replayDelta(h *Histogram, d runtimeDelta) {
-	for i, n := range d.counts {
+// replayDelta feeds one interval's bucket deltas, cur less the previous
+// read's counts prev, into a registry histogram at each bucket's
+// representative value. An empty or shape-mismatched prev (first read, or
+// the runtime regrew the distribution) replays the full cumulative state;
+// a bucket whose count went backwards (it should not) replays nothing.
+func replayDelta(h *Histogram, cur *metrics.Float64Histogram, prev []uint64) {
+	samePrev := len(prev) == len(cur.Counts)
+	for i, n := range cur.Counts {
+		if samePrev {
+			if prev[i] > n {
+				continue
+			}
+			n -= prev[i]
+		}
 		if n > 0 {
-			h.observeN(d.boundsNS[i], int64(n))
+			h.observeN(bucketNS(cur.Buckets, i), int64(n))
 		}
 	}
-}
-
-// quantile returns the upper-bound q-quantile of the delta distribution
-// (0 when it is empty).
-func (d runtimeDelta) quantile(q float64) int64 {
-	if d.total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(d.total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i, n := range d.counts {
-		seen += n
-		if seen >= rank {
-			return d.boundsNS[i]
-		}
-	}
-	return d.boundsNS[len(d.boundsNS)-1]
-}
-
-// max returns the largest nonempty bucket's representative value.
-func (d runtimeDelta) max() int64 {
-	for i := len(d.counts) - 1; i >= 0; i-- {
-		if d.counts[i] > 0 {
-			return d.boundsNS[i]
-		}
-	}
-	return 0
-}
-
-// sumNS approximates the delta distribution's total nanoseconds (counts
-// times representative bucket values).
-func (d runtimeDelta) sumNS() int64 {
-	var sum int64
-	for i, n := range d.counts {
-		sum += d.boundsNS[i] * int64(n)
-	}
-	return sum
 }

@@ -9,79 +9,77 @@ import (
 	"time"
 )
 
-// TestHistDelta: bucket-wise subtraction against the previous cumulative
-// state, with nil or reshaped previous states falling back to the full
-// cumulative histogram.
+// TestHistDelta: the replay subtracts the previous cumulative state bucket
+// by bucket, with nil or reshaped previous states replaying the full
+// cumulative histogram, and observes each bucket at its upper bound.
 func TestHistDelta(t *testing.T) {
 	buckets := []float64{0, 1e-6, 1e-3, math.Inf(1)}
-	prev := &metrics.Float64Histogram{Counts: []uint64{5, 10, 2}, Buckets: buckets}
 	cur := &metrics.Float64Histogram{Counts: []uint64{5, 13, 4}, Buckets: buckets}
+	replayed := func(prev []uint64) HistogramSnapshot {
+		h := NewRegistry().Histogram(NameRuntimeSchedLatencyNS, LatencyBounds)
+		replayDelta(h, cur, prev)
+		return h.Snapshot()
+	}
 
-	d := histDelta(cur, prev)
-	if want := []uint64{0, 3, 2}; len(d.counts) != 3 || d.counts[0] != want[0] || d.counts[1] != want[1] || d.counts[2] != want[2] {
-		t.Fatalf("delta counts = %v, want %v", d.counts, want)
-	}
-	if d.total != 5 {
-		t.Fatalf("total = %d, want 5", d.total)
-	}
 	// Bucket 0 spans [0, 1µs) -> upper bound 1000ns; bucket 2's upper is
-	// +Inf -> its lower bound 1ms stands in.
-	if d.boundsNS[0] != 1_000 || d.boundsNS[1] != 1_000_000 || d.boundsNS[2] != 1_000_000 {
-		t.Fatalf("boundsNS = %v", d.boundsNS)
+	// +Inf -> its lower bound 1ms stands in. So the interval's 3 + 2
+	// observations all land at 1ms.
+	d := replayed([]uint64{5, 10, 2})
+	if d.Count != 5 || d.Sum != 5*1_000_000 || d.Quantile(0.01) != 1_000_000 {
+		t.Fatalf("delta replay: count %d sum %d, want 5 at 1ms each", d.Count, d.Sum)
 	}
-
-	if full := histDelta(cur, nil); full.total != 22 {
-		t.Fatalf("nil prev total = %d, want the full cumulative 22", full.total)
+	if full := replayed(nil); full.Count != 22 || full.Quantile(0.2) != 1_000 {
+		t.Fatalf("nil prev replayed %d, want the full cumulative 22, the first 5 at 1µs", full.Count)
 	}
-	reshaped := &metrics.Float64Histogram{Counts: []uint64{1}, Buckets: []float64{0, math.Inf(1)}}
-	if full := histDelta(cur, reshaped); full.total != 22 {
-		t.Fatalf("reshaped prev total = %d, want 22", full.total)
+	if full := replayed([]uint64{1}); full.Count != 22 {
+		t.Fatalf("reshaped prev replayed %d, want 22", full.Count)
 	}
-	// A cumulative counter going backwards (should not happen) clamps to 0
-	// instead of underflowing.
-	back := &metrics.Float64Histogram{Counts: []uint64{9, 9, 9}, Buckets: buckets}
-	if d := histDelta(cur, back); d.counts[0] != 0 || d.counts[1] != 4 {
-		t.Fatalf("backwards prev delta = %v", d.counts)
+	// A cumulative count going backwards (should not happen) replays
+	// nothing for that bucket instead of underflowing.
+	if d := replayed([]uint64{9, 9, 9}); d.Count != 4 {
+		t.Fatalf("backwards prev replayed %d, want 4", d.Count)
 	}
 }
 
-// TestRuntimeDeltaQuantiles: quantile/max/sum over a known distribution.
+// TestRuntimeDeltaQuantiles: an interval's runtime delta, replayed into a
+// registry histogram, comes back out of two consecutive snapshots with its
+// own quantiles: deltaSnapshot drops what the histogram held before.
 func TestRuntimeDeltaQuantiles(t *testing.T) {
-	d := runtimeDelta{
-		boundsNS: []int64{100, 1_000, 10_000},
-		counts:   []uint64{90, 9, 1},
-		total:    100,
+	h := NewRegistry().Histogram(NameRuntimeSchedLatencyNS, LatencyBounds)
+	for i := 0; i < 1000; i++ {
+		h.Observe(int64(500 * time.Millisecond)) // an earlier interval
 	}
-	if q := d.quantile(0.5); q != 100 {
-		t.Fatalf("p50 = %d, want 100", q)
+	before := h.Snapshot()
+	// Buckets [0, 1µs), [1µs, 50µs), [50µs, 1ms): upper bounds 1µs, 50µs
+	// and 1ms.
+	replayDelta(h, &metrics.Float64Histogram{
+		Counts:  []uint64{90, 9, 1},
+		Buckets: []float64{0, 1e-6, 50e-6, 1e-3},
+	}, nil)
+	d := deltaSnapshot(h.Snapshot(), before)
+	if want := int64(90*1_000 + 9*50_000 + 1_000_000); d.Count != 100 || d.Sum != want {
+		t.Fatalf("interval count %d sum %d, want 100 and %d", d.Count, d.Sum, want)
 	}
-	if q := d.quantile(0.95); q != 1_000 {
-		t.Fatalf("p95 = %d, want 1000", q)
+	if q := d.Quantile(0.5); q != 1_000 {
+		t.Fatalf("p50 = %d, want 1000", q)
 	}
-	if q := d.quantile(1); q != 10_000 {
-		t.Fatalf("p100 = %d, want 10000", q)
+	if q := d.Quantile(0.95); q != 50_000 {
+		t.Fatalf("p95 = %d, want 50000", q)
 	}
-	if m := d.max(); m != 10_000 {
-		t.Fatalf("max = %d, want 10000", m)
-	}
-	if s := d.sumNS(); s != 90*100+9*1_000+1*10_000 {
-		t.Fatalf("sum = %d", s)
-	}
-	var empty runtimeDelta
-	if empty.quantile(0.99) != 0 || empty.max() != 0 || empty.sumNS() != 0 {
-		t.Fatal("empty delta must report zeros")
+	if q := d.Quantile(1); q != 1_000_000 {
+		t.Fatalf("p100 = %d, want 1000000", q)
 	}
 }
 
 // TestRuntimeSamplerRead: a real read populates the gauges and feeds the
-// sched-latency registry histogram; a second read yields interval deltas
-// only.
+// sched-latency registry histogram; a later read adds the interval's
+// deltas only.
 func TestRuntimeSamplerRead(t *testing.T) {
-	rs := newRuntimeSampler()
-	sched, _, _ := rs.read()
+	rs := newRuntimeSampler(NewRegistry())
+	rs.read()
 	// The process has been scheduling goroutines since startup, so the
 	// first (cumulative) read cannot be empty.
-	if sched.total == 0 {
+	if rs.hSched.Snapshot().Count == 0 {
 		t.Fatal("first sched read saw no scheduling events")
 	}
 	if rs.gMaxprocs.Value() < 1 {
@@ -90,40 +88,53 @@ func TestRuntimeSamplerRead(t *testing.T) {
 	if rs.gObjects.Value() <= 0 {
 		t.Fatalf("heap objects gauge = %d", rs.gObjects.Value())
 	}
-	if rs.hSched.Snapshot().Count == 0 {
-		t.Fatal("sched registry histogram not fed")
+	if rs.reg.Gauge(NameFlightGoroutines).Value() <= 0 {
+		t.Fatal("flight gauges not republished")
 	}
 
 	// Force some GC activity so the pause distribution moves, then check
 	// the second read carries it.
+	before := rs.hGC.Snapshot()
 	runtime.GC()
 	runtime.GC()
-	if _, gc2, _ := rs.read(); gc2.total == 0 {
+	rs.read()
+	if d := deltaSnapshot(rs.hGC.Snapshot(), before); d.Count == 0 {
 		t.Fatal("second read saw no GC pauses after two forced GCs")
 	}
 }
 
-// TestFlightSampleRuntimeFields: observe() fills the sched/GC fields and
-// FlightCheck trips on a stalled scheduler reading.
+// TestFlightSampleRuntimeFields: a sample's runtime series has ordered
+// sched quantiles, and FlightCheck trips when the last interval's p99
+// scheduling latency lies past the histogram's last finite bound (1 s),
+// which Quantile itself can only report as 1 s.
 func TestFlightSampleRuntimeFields(t *testing.T) {
-	f := NewFlightRecorder(4)
+	reg := NewRegistry()
+	s := NewSampler(reg, 4)
 	runtime.GC()
-	f.observe()
-	s := f.Recent()[0]
-	if s.SchedLatP99NS < s.SchedLatP50NS || s.SchedLatMaxNS < s.SchedLatP99NS {
-		t.Fatalf("sched quantiles disordered: %+v", s)
+	s.SampleNow()
+	s.SampleNow()
+	r := s.Load().Runtime[1]
+	if r.SchedLatP95NS < r.SchedLatP50NS || r.SchedLatP99NS < r.SchedLatP95NS {
+		t.Fatalf("sched quantiles disordered: %+v", r)
 	}
-	if s.GCPauseTotalNS < 0 || s.MutexWaitNS < 0 {
-		t.Fatalf("negative interval totals: %+v", s)
+	if r.GCPauseP95NS < 0 || r.NumGC <= 0 {
+		t.Fatalf("GC series: %+v", r)
 	}
 
-	f.Start(10 * time.Millisecond)
-	defer f.Stop()
-	check := FlightCheck(f)
+	s.interval = time.Hour // the test takes every sample itself
+	s.Start()
+	defer s.Stop()
+	check := FlightCheck(s)
 	if err := check(context.Background()); err != nil {
-		t.Fatalf("healthy recorder degraded: %v", err)
+		t.Fatalf("healthy sampler degraded: %v", err)
 	}
-	f.lastSchedP99.Store(flightStallNS + 1)
+	// A stalled interval: far more scheduling delays of 2 s than the
+	// runtime replays in one interval.
+	reg.Histogram(NameRuntimeSchedLatencyNS, LatencyBounds).observeN(int64(2*time.Second), 1_000_000)
+	s.SampleNow()
+	if q := s.Load().Runtime; q[len(q)-1].SchedLatP99NS != int64(time.Second) {
+		t.Fatalf("stalled interval p99 = %d, want the last finite bound", q[len(q)-1].SchedLatP99NS)
+	}
 	if err := check(context.Background()); err == nil {
 		t.Fatal("scheduler stall not reported")
 	}

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"cmp"
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -20,24 +20,23 @@ import (
 // live store that scrapers, probes, and humans can interrogate while it
 // serves traffic. It is plain net/http on a plain listener; every
 // endpoint renders from the same process-wide defaults the -metrics and
-// -trace flags print.
-//
-//	/metrics           Prometheus text exposition of the metric registry
-//	/metrics.json      the same registry as JSON
-//	/healthz           liveness checks (DefaultHealth); 503 when any fails
-//	/readyz            readiness checks (DefaultReady); 503 when any fails
-//	/debug/trace       JSON dump of the ring-buffered op tracer
-//	/debug/traces      recent trace roots index (JSON)
-//	/debug/trace/{id}  one trace reassembled as a tree (?perfetto=1 for
-//	                   Chrome trace-event JSON)
-//	/debug/flight      runtime flight recorder ring (JSON)
-//	/debug/load        windowed 1m/5m rates and delta percentiles (JSON)
-//	/debug/top         heavy-hitter query shapes, exact counts (JSON)
-//	/debug/contention  tracked-lock wait/hold stats (JSON)
-//	/debug/space       process memory classes + per-subsystem space reports
-//	/debug/slowops     JSON dump of the slow-op journal
-//	/debug/vars        expvar
-//	/debug/pprof/      CPU, heap, goroutine, ... profiles (net/http/pprof)
+// -trace flags print. diagIndex lists the routes; / serves it.
+
+// diagIndex is the route list the index page serves.
+const diagIndex = `SLIM diagnostics
+
+/metrics           Prometheus text exposition of the metric registry
+/metrics.json      the same registry as JSON
+/healthz           liveness checks (DefaultHealth); 503 when any fails
+/readyz            readiness checks (DefaultReady); 503 when any fails
+/debug/traces      recent trace roots and the slow ring (JSON)
+/debug/trace/{id}  one trace as a tree (?perfetto=1 for Chrome trace-event JSON)
+/debug/load        windowed 1m/5m rates and delta percentiles, runtime series (JSON)
+/debug/top         heavy-hitter query shapes, exact counts (JSON)
+/debug/contention  tracked-lock wait/hold stats (JSON)
+/debug/space       process memory classes + per-subsystem space reports (JSON)
+/debug/pprof/      CPU, heap, goroutine, ... profiles (net/http/pprof)
+`
 
 // ServeConfig selects the sources a diagnostics server renders. Zero
 // fields fall back to the process-wide defaults, so the zero value serves
@@ -45,47 +44,23 @@ import (
 type ServeConfig struct {
 	Registry *Registry
 	Tracer   *Tracer
-	SlowOps  *SlowOpJournal
 	Health   *HealthRegistry
 	Ready    *HealthRegistry
-	Flight   *FlightRecorder
-	Window   *WindowSampler
+	Sampler  *Sampler
 	Top      *ShapeTable
 	Locks    *LockTable
 	Space    *SpaceSources
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Registry == nil {
-		c.Registry = Default
-	}
-	if c.Tracer == nil {
-		c.Tracer = DefaultTracer
-	}
-	if c.SlowOps == nil {
-		c.SlowOps = DefaultSlowOps
-	}
-	if c.Health == nil {
-		c.Health = DefaultHealth
-	}
-	if c.Ready == nil {
-		c.Ready = DefaultReady
-	}
-	if c.Flight == nil {
-		c.Flight = DefaultFlight
-	}
-	if c.Window == nil {
-		c.Window = DefaultWindow
-	}
-	if c.Top == nil {
-		c.Top = DefaultTopQueries
-	}
-	if c.Locks == nil {
-		c.Locks = DefaultLocks
-	}
-	if c.Space == nil {
-		c.Space = DefaultSpace
-	}
+	c.Registry = cmp.Or(c.Registry, Default)
+	c.Tracer = cmp.Or(c.Tracer, DefaultTracer)
+	c.Health = cmp.Or(c.Health, DefaultHealth)
+	c.Ready = cmp.Or(c.Ready, DefaultReady)
+	c.Sampler = cmp.Or(c.Sampler, DefaultSampler)
+	c.Top = cmp.Or(c.Top, DefaultTopQueries)
+	c.Locks = cmp.Or(c.Locks, DefaultLocks)
+	c.Space = cmp.Or(c.Space, DefaultSpace)
 	return c
 }
 
@@ -127,33 +102,21 @@ func NewDiagMux(cfg ServeConfig) *http.ServeMux {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, "SLIM diagnostics\n\n"+
-			"/metrics           Prometheus text exposition\n"+
-			"/metrics.json      metric registry as JSON\n"+
-			"/healthz           liveness checks\n"+
-			"/readyz            readiness checks\n"+
-			"/debug/trace       recent-ops ring buffer (JSON)\n"+
-			"/debug/traces      recent trace roots index (JSON)\n"+
-			"/debug/trace/{id}  one trace as a tree (?perfetto=1 for trace-event JSON)\n"+
-			"/debug/flight      runtime flight recorder (JSON)\n"+
-			"/debug/load        windowed 1m/5m rates and delta percentiles (JSON)\n"+
-			"/debug/top         heavy-hitter query shapes (JSON)\n"+
-			"/debug/contention  tracked-lock wait/hold stats (JSON)\n"+
-			"/debug/space       process + store space accounting (JSON)\n"+
-			"/debug/slowops     slow-op journal (JSON)\n"+
-			"/debug/vars        expvar\n"+
-			"/debug/pprof/      runtime profiles\n")
+		fmt.Fprint(w, diagIndex)
 	})
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		cfg.Registry.WritePrometheus(w)
-		cfg.Window.WritePrometheusRates(w)
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, cfg.Registry)
-	})
+	// serveJSON registers a route that encodes what value returns.
+	serveJSON := func(path string, value func() any) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			EncodeJSON(w, value())
+		})
+	}
+	serveJSON("/metrics.json", func() any { return cfg.Registry })
 
 	serveHealth := func(reg *HealthRegistry) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -177,18 +140,7 @@ func NewDiagMux(cfg ServeConfig) *http.ServeMux {
 	mux.HandleFunc("/healthz", serveHealth(cfg.Health))
 	mux.HandleFunc("/readyz", serveHealth(cfg.Ready))
 
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, struct {
-			Ops []OpRecord `json:"ops"`
-		}{Ops: cfg.Tracer.Recent()})
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, struct {
-			Traces []TraceSummary `json:"traces"`
-		}{Traces: cfg.Tracer.Roots()})
-	})
+	serveJSON("/debug/traces", func() any { return cfg.Tracer.Index() })
 	mux.HandleFunc("/debug/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id, err := ParseTraceID(strings.TrimPrefix(r.URL.Path, "/debug/trace/"))
 		if err != nil {
@@ -213,35 +165,16 @@ func NewDiagMux(cfg ServeConfig) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		EncodeJSON(w, t)
 	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, cfg.Flight)
-	})
-	mux.HandleFunc("/debug/load", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, cfg.Window.Load())
-	})
-	mux.HandleFunc("/debug/top", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, cfg.Top)
-	})
-	mux.HandleFunc("/debug/contention", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, cfg.Locks)
-	})
-	mux.HandleFunc("/debug/space", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, struct {
+	serveJSON("/debug/load", func() any { return cfg.Sampler.Load() })
+	serveJSON("/debug/top", func() any { return cfg.Top })
+	serveJSON("/debug/contention", func() any { return cfg.Locks })
+	serveJSON("/debug/space", func() any {
+		return struct {
 			Runtime SpaceInfo      `json:"runtime"`
 			Sources map[string]any `json:"sources"`
-		}{ReadSpace(), cfg.Space.Report()})
-	})
-	mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		EncodeJSON(w, cfg.SlowOps)
+		}{ReadSpace(), cfg.Space.Report()}
 	})
 
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

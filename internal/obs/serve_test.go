@@ -21,10 +21,10 @@ func diagConfig() (ServeConfig, *Registry, *HealthRegistry, *HealthRegistry) {
 	cfg := ServeConfig{
 		Registry: reg,
 		Tracer:   NewTracer(8),
-		SlowOps:  NewSlowOpJournal(8, time.Millisecond),
 		Health:   health,
 		Ready:    ready,
 	}
+	cfg.Tracer.SetSlowThreshold(time.Millisecond)
 	return cfg, reg, health, ready
 }
 
@@ -108,43 +108,39 @@ func TestDiagMuxDebugEndpoints(t *testing.T) {
 	cfg, _, _, _ := diagConfig()
 	span := cfg.Tracer.Start("test.op", "detail")
 	span.Finish()
-	cfg.SlowOps.Observe("slow.op", "why", time.Now(), 5*time.Millisecond, nil)
+	slow := cfg.Tracer.Start("slow.span", "why")
+	slow.FinishDur(5*time.Millisecond, nil)
+	cfg.Tracer.SlowOp("slow.op", 5*time.Millisecond, nil, func() string { return "spanless" })
 	srv := httptest.NewServer(NewDiagMux(cfg))
 	defer srv.Close()
 
-	code, body := get(t, srv, "/debug/trace")
+	// /debug/traces answers both "which traces ran" and "which ops were
+	// slow", in the same rows.
+	code, body := get(t, srv, "/debug/traces")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/trace status %d", code)
+		t.Fatalf("/debug/traces status %d", code)
 	}
-	var trace struct {
-		Ops []OpRecord `json:"ops"`
+	var idx TraceIndex
+	if err := json.Unmarshal([]byte(body), &idx); err != nil {
+		t.Fatalf("/debug/traces not JSON: %v\n%s", err, body)
 	}
-	if err := json.Unmarshal([]byte(body), &trace); err != nil {
-		t.Fatalf("/debug/trace not JSON: %v\n%s", err, body)
+	if len(idx.Traces) != 2 || idx.Traces[0].Op != "slow.span" || idx.Traces[1].Op != "test.op" {
+		t.Fatalf("/debug/traces roots: %+v", idx.Traces)
 	}
-	if len(trace.Ops) != 1 || trace.Ops[0].Op != "test.op" {
-		t.Fatalf("/debug/trace ops: %+v", trace.Ops)
-	}
-
-	code, body = get(t, srv, "/debug/slowops")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/slowops status %d", code)
-	}
-	var slow struct {
-		Ops []SlowOp `json:"ops"`
-	}
-	if err := json.Unmarshal([]byte(body), &slow); err != nil {
-		t.Fatalf("/debug/slowops not JSON: %v\n%s", err, body)
-	}
-	if len(slow.Ops) != 1 || slow.Ops[0].Op != "slow.op" {
-		t.Fatalf("/debug/slowops ops: %+v", slow.Ops)
+	if idx.SlowThresholdNS != int64(time.Millisecond) || len(idx.Slow) != 2 ||
+		idx.Slow[0].Op != "slow.op" || idx.Slow[0].Detail != "spanless" || idx.Slow[0].Spans != 0 ||
+		idx.Slow[1].Op != "slow.span" || idx.Slow[1].Trace != slow.TraceID() || idx.Slow[1].Spans != 1 {
+		t.Fatalf("/debug/traces slow rows: threshold %d %+v", idx.SlowThresholdNS, idx.Slow)
 	}
 
 	if code, _ := get(t, srv, "/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ status %d", code)
 	}
-	if code, _ := get(t, srv, "/debug/vars"); code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
+	// The routes /debug/traces and /debug/load took over are gone.
+	for _, gone := range []string{"/debug/trace", "/debug/slowops", "/debug/flight", "/debug/vars"} {
+		if code, _ := get(t, srv, gone); code == http.StatusOK {
+			t.Errorf("%s still answers", gone)
+		}
 	}
 
 	code, body = get(t, srv, "/")

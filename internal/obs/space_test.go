@@ -112,22 +112,3 @@ func TestDebugSpaceEndpoint(t *testing.T) {
 		t.Fatalf("source report missing: %s", body.Sources["test.store"])
 	}
 }
-
-// TestFlightSampleAllocRate pins the flight fold-in: consecutive samples
-// carry a non-negative allocation rate and the released-heap figure.
-func TestFlightSampleAllocRate(t *testing.T) {
-	f := NewFlightRecorder(4)
-	f.observe()
-	_ = make([]byte, 1<<20)
-	f.observe()
-	samples := f.Recent()
-	if len(samples) != 2 {
-		t.Fatalf("got %d samples, want 2", len(samples))
-	}
-	if samples[0].AllocBytesPerSec != 0 {
-		t.Fatalf("first sample has an alloc rate: %+v", samples[0])
-	}
-	if samples[1].AllocBytesPerSec < 0 {
-		t.Fatalf("negative alloc rate: %+v", samples[1])
-	}
-}

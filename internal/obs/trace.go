@@ -171,35 +171,96 @@ var (
 	mTraceDropped = C(NameTraceDropped)
 )
 
-// Tracer keeps the last capacity finished spans in a ring buffer: a cheap,
-// always-available flight recorder the binaries dump with -trace and the
-// diagnostics server reassembles into per-trace trees. All methods are
-// safe for concurrent use and nil-safe, so packages can trace
-// unconditionally.
-//
-// The ring holds the finished spans themselves. Finishing a span publishes
-// it with one atomic add, which numbers it, and one atomic pointer store
-// into its slot: no lock and no copy. Readers (Recent, and Trace and Roots
-// through it) build OpRecords from the spans when they read.
+// mSlowRecorded counts slow-ring entries; it lives in the same registry it
+// observes, so scrapes reveal how often the threshold trips.
+var mSlowRecorded = C("obs.slowops.recorded")
+
+// DefaultSlowOpThreshold is the slow-op threshold tracers start with: high
+// enough that index-served TRIM queries (~µs) never land in the slow ring,
+// low enough to catch a full-store scan or a stalled base app.
+const DefaultSlowOpThreshold = 10 * time.Millisecond
+
+// spanRing keeps the last len(slots) spans published into it. Publishing
+// a span is one atomic add, which numbers it, and one atomic pointer store
+// into its slot: no lock and no copy. Readers build OpRecords from the
+// spans when they read.
+type spanRing struct {
+	// seq counts the spans ever published. The span numbered n sits in
+	// slots[(n-1) % len(slots)] until span n+len(slots) takes the slot.
+	seq   atomic.Uint64
+	slots []atomic.Pointer[Span]
+}
+
+// publish numbers a finished span and stores it into its slot. The span's
+// fields are all written before the store, which is what makes them
+// visible to readers.
+func (r *spanRing) publish(s *Span) {
+	s.seq = r.seq.Add(1)
+	r.slots[(s.seq-1)%uint64(len(r.slots))].Store(s)
+}
+
+// recent returns the retained spans oldest-first, numbered by strictly
+// rising Seq. A span still being published when recent reads its slot is
+// left out, as is one a later span has already replaced.
+func (r *spanRing) recent() []OpRecord {
+	last := r.seq.Load()
+	capacity := uint64(len(r.slots))
+	first := uint64(1)
+	if last > capacity {
+		first = last - capacity + 1
+	}
+	out := make([]OpRecord, 0, last-first+1)
+	for n := first; n <= last; n++ {
+		if s := r.slots[(n-1)%capacity].Load(); s != nil && s.seq == n {
+			out = append(out, s.record())
+		}
+	}
+	return out
+}
+
+// reset discards the retained spans and restarts the sequence.
+func (r *spanRing) reset() {
+	r.seq.Store(0)
+	for i := range r.slots {
+		r.slots[i].Store(nil)
+	}
+}
+
+// Tracer keeps finished spans in two rings: a cheap, always-available
+// flight recorder. The trace ring holds the last spans of sampled traces,
+// plus every span that failed; the binaries dump it with -trace, and the
+// diagnostics server reassembles it into per-trace trees. The slow ring
+// holds the last ops that met the slow-op threshold, sampled or not: a
+// copy of each slow span, so that each ring numbers its own records, and
+// the ops that ran without a span (SlowOp). Each ring keeps its own
+// capacity's worth of history, so fast spans never push a slow one out.
+// All methods are safe for concurrent use and nil-safe, so packages can
+// trace unconditionally.
 type Tracer struct {
 	enabled atomic.Bool
 	// sampleBits holds math.Float64bits of the root-sampling rate.
 	sampleBits atomic.Uint64
-	// seq counts the spans ever published. The span numbered n sits in
-	// ring[(n-1) % len(ring)] until span n+len(ring) takes the slot.
-	seq  atomic.Uint64
-	ring []atomic.Pointer[Span]
+	// slowNS is the slow-op threshold; zero or below keeps the slow ring
+	// empty.
+	slowNS atomic.Int64
+	ring   spanRing
+	slow   spanRing
 }
 
-// NewTracer returns an enabled tracer retaining the last capacity ops
-// (minimum 1), sampling every root (rate 1).
+// NewTracer returns an enabled tracer whose rings each retain the last
+// capacity ops (minimum 1), sampling every root (rate 1), with the default
+// slow-op threshold.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &Tracer{ring: make([]atomic.Pointer[Span], capacity)}
+	t := &Tracer{
+		ring: spanRing{slots: make([]atomic.Pointer[Span], capacity)},
+		slow: spanRing{slots: make([]atomic.Pointer[Span], capacity)},
+	}
 	t.enabled.Store(true)
 	t.sampleBits.Store(math.Float64bits(1))
+	t.slowNS.Store(int64(DefaultSlowOpThreshold))
 	return t
 }
 
@@ -259,8 +320,8 @@ func (tr *Tracer) sample() bool {
 // A finished span is the tracer's record of the op: its fields are set
 // before the span is published into the ring and never change after, so
 // readers on other goroutines need no lock. Finish a span once, and call
-// SetDetail and SkipJournal before finishing it. The struct is 128 bytes,
-// one allocation size class; a field added here must fit in it.
+// SetDetail before finishing it. The struct is 128 bytes, one allocation
+// size class; a field added here must fit in it.
 type Span struct {
 	tr     *Tracer
 	op     string
@@ -278,9 +339,6 @@ type Span struct {
 	seq     uint64
 	depth   int32
 	sampled bool
-	// skipJournal is set by SkipJournal: the op wrote its own slow-op
-	// entry, so finishing the span writes none.
-	skipJournal bool
 	// ctx is the context the span was started under. The span, as a
 	// *spanCtx, is the context StartCtx hands out (tracectx.go), so a span
 	// and its context are one allocation.
@@ -372,24 +430,14 @@ func (s *Span) StartTime() time.Time {
 	return wallTime(s.start)
 }
 
-// SkipJournal keeps the span out of the slow-op journal, for an op that
-// journaled itself with a fuller detail (a TRIM query writes its EXPLAIN
-// line), so one slow op makes one entry. Call before finishing, from the
-// owning goroutine.
-func (s *Span) SkipJournal() {
-	if s != nil {
-		s.skipJournal = true
-	}
-}
-
 // Finish records the span into the ring buffer.
 func (s *Span) Finish() { s.FinishErr(nil) }
 
 // FinishErr records the span, tagging it with the error when non-nil.
 // Unsampled spans are recorded only when they carry an error (always-on-
-// error sampling). Spans that exceeded the slow-op threshold also land in
-// DefaultSlowOps regardless of sampling, so every traced layer feeds the
-// journal for free.
+// error sampling). Spans that met the slow-op threshold also land in the
+// slow ring regardless of sampling, so every traced layer feeds it for
+// free.
 func (s *Span) FinishErr(err error) {
 	if s == nil {
 		return
@@ -404,24 +452,60 @@ func (s *Span) FinishDur(dur time.Duration, err error) {
 	if s == nil {
 		return
 	}
-	if !s.skipJournal && DefaultSlowOps.Slow(dur) {
-		DefaultSlowOps.Observe(s.op, s.detail, wallTime(s.start), dur, err)
+	s.dur = dur
+	if err != nil {
+		s.err = err.Error()
+	}
+	if s.tr.Slow(dur) {
+		c := *s
+		s.tr.slow.publish(&c)
+		mSlowRecorded.Inc()
 	}
 	if s.sampled || err != nil {
-		s.dur = dur
-		if err != nil {
-			s.err = err.Error()
-		}
-		s.tr.publish(s)
+		s.tr.ring.publish(s)
 	}
 }
 
-// publish numbers a finished span and stores it into its ring slot. The
-// span's fields are all written before the store, which is what makes
-// them visible to readers.
-func (tr *Tracer) publish(s *Span) {
-	s.seq = tr.seq.Add(1)
-	tr.ring[(s.seq-1)%uint64(len(tr.ring))].Store(s)
+// SetSlowThreshold replaces the slow-op threshold; zero or negative keeps
+// the slow ring empty.
+func (tr *Tracer) SetSlowThreshold(d time.Duration) {
+	if tr != nil {
+		tr.slowNS.Store(int64(d))
+	}
+}
+
+// SlowThreshold returns the slow-op threshold.
+func (tr *Tracer) SlowThreshold() time.Duration {
+	if tr == nil {
+		return 0
+	}
+	return time.Duration(tr.slowNS.Load())
+}
+
+// Slow reports whether an op that took d meets the slow-op threshold: one
+// atomic load.
+func (tr *Tracer) Slow(d time.Duration) bool {
+	if tr == nil {
+		return false
+	}
+	t := tr.slowNS.Load()
+	return t > 0 && int64(d) >= t
+}
+
+// SlowOp publishes an op that ran without a span of its own (a mark op,
+// or a query while its caller was untraced) into the slow ring when dur
+// meets the threshold. detail renders the op's detail and runs only then,
+// so a fast op builds no string. The entry carries no trace ids.
+func (tr *Tracer) SlowOp(op string, dur time.Duration, err error, detail func() string) {
+	if !tr.Slow(dur) {
+		return
+	}
+	s := &Span{tr: tr, op: op, detail: detail(), start: Nanotime() - int64(dur), dur: dur}
+	if err != nil {
+		s.err = err.Error()
+	}
+	tr.slow.publish(s)
+	mSlowRecorded.Inc()
 }
 
 // record builds the OpRecord of a published span.
@@ -433,39 +517,34 @@ func (s *Span) record() OpRecord {
 	}
 }
 
-// Recent returns the retained ops oldest-first, numbered by strictly
-// rising Seq. A span still being published when Recent reads its slot is
-// left out, as is one a later span has already replaced.
+// Recent returns the trace ring's ops oldest-first, numbered by strictly
+// rising Seq.
 func (tr *Tracer) Recent() []OpRecord {
 	if tr == nil {
 		return nil
 	}
-	last := tr.seq.Load()
-	capacity := uint64(len(tr.ring))
-	first := uint64(1)
-	if last > capacity {
-		first = last - capacity + 1
-	}
-	out := make([]OpRecord, 0, last-first+1)
-	for n := first; n <= last; n++ {
-		if s := tr.ring[(n-1)%capacity].Load(); s != nil && s.seq == n {
-			out = append(out, s.record())
-		}
-	}
-	return out
+	return tr.ring.recent()
 }
 
-// Reset discards all retained ops and restarts the sequence. A span
-// published while Reset runs may survive it or not; Recent never reports
-// it under a number it does not hold.
+// SlowOps returns the slow ring's ops oldest-first, numbered by strictly
+// rising Seq of their own.
+func (tr *Tracer) SlowOps() []OpRecord {
+	if tr == nil {
+		return nil
+	}
+	return tr.slow.recent()
+}
+
+// Reset discards the ops both rings retain and restarts their sequences,
+// keeping the threshold. A span published while Reset runs may survive it
+// or not; Recent and SlowOps never report it under a number it does not
+// hold.
 func (tr *Tracer) Reset() {
 	if tr == nil {
 		return
 	}
-	tr.seq.Store(0)
-	for i := range tr.ring {
-		tr.ring[i].Store(nil)
-	}
+	tr.ring.reset()
+	tr.slow.reset()
 }
 
 // WriteText dumps the retained ops oldest-first, one per line, indented by

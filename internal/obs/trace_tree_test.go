@@ -297,7 +297,7 @@ func TestTracerRoots(t *testing.T) {
 	child.Finish()
 	second.Finish()
 
-	roots := tr.Roots()
+	roots := tr.Index().Traces
 	if len(roots) != 2 {
 		t.Fatalf("roots = %+v, want 2", roots)
 	}

@@ -106,30 +106,24 @@ func TestSpanContextSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestFinishDurRecordsCallerDuration: FinishDur records the duration it is
-// given, and SkipJournal keeps a slow span out of the slow-op journal.
+// given, in the trace ring and, for a span at or over the threshold, in
+// the slow ring; a span under it stays out of the slow ring.
 func TestFinishDurRecordsCallerDuration(t *testing.T) {
 	tr := NewTracer(8)
-	prev := DefaultSlowOps.Threshold()
-	DefaultSlowOps.SetThreshold(time.Nanosecond)
-	defer func() {
-		DefaultSlowOps.SetThreshold(prev)
-		DefaultSlowOps.Reset()
-	}()
-	DefaultSlowOps.Reset()
+	tr.SetSlowThreshold(10 * time.Millisecond)
 
 	_, sp := tr.StartCtx(nil, "test.timed", "")
 	sp.FinishDur(42*time.Millisecond, nil)
 	_, quiet := tr.StartCtx(nil, "test.quiet", "")
-	quiet.SkipJournal()
 	quiet.FinishDur(time.Millisecond, nil)
 
 	recs := tr.Recent()
 	if len(recs) != 2 || recs[0].Dur != 42*time.Millisecond || !recs[0].Start.Equal(sp.StartTime()) {
 		t.Fatalf("ring = %+v, want test.timed with its caller's 42ms first", recs)
 	}
-	slow := DefaultSlowOps.Recent()
-	if len(slow) != 1 || slow[0].Op != "test.timed" || slow[0].DurNS != int64(42*time.Millisecond) {
-		t.Fatalf("journal = %+v, want only test.timed at 42ms", slow)
+	slow := tr.SlowOps()
+	if len(slow) != 1 || slow[0].Op != "test.timed" || slow[0].Dur != 42*time.Millisecond {
+		t.Fatalf("slow ring = %+v, want only test.timed at 42ms", slow)
 	}
 	var none *Span
 	if none.StartTime().IsZero() {

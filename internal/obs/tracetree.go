@@ -137,22 +137,31 @@ func (t *TraceTree) WriteText(w io.Writer) error {
 	return nil
 }
 
-// TraceSummary is one entry in the recent-roots index (/debug/traces).
+// TraceSummary is one row of the /debug/traces index: a trace's root, or
+// one op of the slow ring.
 type TraceSummary struct {
-	Trace  TraceID   `json:"trace_id"`
+	// Trace is 0, and left out, for a slow op that ran without a span.
+	Trace  TraceID   `json:"trace_id,omitempty"`
 	Op     string    `json:"op"`
 	Detail string    `json:"detail,omitempty"`
 	Start  time.Time `json:"start"`
 	DurNS  int64     `json:"dur_ns"`
 	Err    string    `json:"err,omitempty"`
-	// Spans counts the retained records of the whole trace.
+	// Spans counts the records the trace ring retains of the whole trace.
 	Spans int `json:"spans"`
 }
 
-// Roots summarizes the retained traces, newest root first. Traces whose
-// root fell off the ring are summarized by their oldest surviving span.
-func (tr *Tracer) Roots() []TraceSummary {
-	recs := tr.Recent()
+func summary(r OpRecord, spans int) TraceSummary {
+	return TraceSummary{
+		Trace: r.Trace, Op: r.Op, Detail: r.Detail, Start: r.Start,
+		DurNS: int64(r.Dur), Err: r.Err, Spans: spans,
+	}
+}
+
+// roots summarizes the traces of recs, newest root first, and counts the
+// records of each trace. A trace whose root fell off the ring is
+// summarized by its oldest surviving span.
+func roots(recs []OpRecord) ([]TraceSummary, map[TraceID]int) {
 	spanCount := make(map[TraceID]int, len(recs))
 	best := make(map[TraceID]OpRecord, len(recs))
 	var order []TraceID
@@ -171,11 +180,34 @@ func (tr *Tracer) Roots() []TraceSummary {
 	out := make([]TraceSummary, 0, len(order))
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
-		b := best[id]
-		out = append(out, TraceSummary{
-			Trace: id, Op: b.Op, Detail: b.Detail, Start: b.Start,
-			DurNS: int64(b.Dur), Err: b.Err, Spans: spanCount[id],
-		})
+		out = append(out, summary(best[id], spanCount[id]))
 	}
-	return out
+	return out, spanCount
+}
+
+// TraceIndex is the /debug/traces document: the recent trace roots and
+// the slow ring, each newest first, in the same rows.
+type TraceIndex struct {
+	Traces []TraceSummary `json:"traces"`
+	// SlowThresholdNS is the slow-op threshold, in nanoseconds.
+	SlowThresholdNS int64 `json:"slow_threshold_ns"`
+	// Slow holds one row per slow op. A slow span's Spans counts what the
+	// trace ring still retains of its trace, so 0 means its tree is gone
+	// (or was never sampled).
+	Slow []TraceSummary `json:"slow"`
+}
+
+// Index reads both rings into the /debug/traces document.
+func (tr *Tracer) Index() TraceIndex {
+	rows, spans := roots(tr.Recent())
+	slow := tr.SlowOps()
+	idx := TraceIndex{
+		Traces:          rows,
+		SlowThresholdNS: int64(tr.SlowThreshold()),
+		Slow:            make([]TraceSummary, 0, len(slow)),
+	}
+	for i := len(slow) - 1; i >= 0; i-- {
+		idx.Slow = append(idx.Slow, summary(slow[i], spans[slow[i].Trace]))
+	}
+	return idx
 }

@@ -313,10 +313,10 @@ func TestFindAllocsIndependentOfPadSize(t *testing.T) {
 		t.Skip("builds a 2,000-scrap pad")
 	}
 	// A find over 2,000 labels may cross the slow-op threshold on a slow
-	// host; journaling it would allocate on one pad and not the other.
-	prev := obs.DefaultSlowOps.Threshold()
-	obs.DefaultSlowOps.SetThreshold(0)
-	defer obs.DefaultSlowOps.SetThreshold(prev)
+	// host; its slow-ring entry would allocate on one pad and not the other.
+	prev := obs.DefaultTracer.SlowThreshold()
+	obs.DefaultTracer.SetSlowThreshold(0)
+	defer obs.DefaultTracer.SetSlowThreshold(prev)
 
 	pad := func(n int) *DMI {
 		d := newDMI(t)

@@ -12,10 +12,10 @@ import (
 // measurable per query instead of only in aggregate: every read path
 // (selection, reachability view, predicate path) can report which index
 // the planner chose, how many candidate triples it scanned, how many
-// matched, and how long the walk took. Explains of queries that exceed
-// the slow-op threshold land in obs.DefaultSlowOps with the full EXPLAIN
-// line as their detail, so /debug/slowops answers "which query was slow
-// and why" on a live store.
+// matched, and how long the walk took. Queries that meet the slow-op
+// threshold land in the tracer's slow ring with the full EXPLAIN line as
+// their detail, so /debug/traces answers "which query was slow and why"
+// on a live store.
 
 // Explain describes how one TRIM query executed.
 type Explain struct {
@@ -148,9 +148,8 @@ func (m *Manager) pathExplain(sp *obs.Span, start, predicates []rdf.Term) ([]rdf
 		}
 		q += p.String()
 	}
-	e.Query = q
 	e.WallNS = end - begin
 	recordPathShape(predicates, false)
-	finishQuery(sp, &e, true)
+	finishQuery(sp, "trim.path", &e, true, func() string { return q })
 	return out, e
 }

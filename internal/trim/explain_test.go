@@ -144,23 +144,17 @@ func TestPathExplain(t *testing.T) {
 	}
 }
 
-// TestExplainJournalsSlowQueries pins the EXPLAIN -> slow-op journal wiring:
-// with the threshold floored, every query lands in obs.DefaultSlowOps with
-// its EXPLAIN line as the detail.
+// TestExplainJournalsSlowQueries pins the EXPLAIN -> slow ring wiring:
+// with the threshold floored, every query lands in the default tracer's
+// slow ring with its EXPLAIN line as the detail, an untraced one too.
 func TestExplainJournalsSlowQueries(t *testing.T) {
-	prev := obs.DefaultSlowOps.Threshold()
-	obs.DefaultSlowOps.SetThreshold(time.Nanosecond)
-	defer func() {
-		obs.DefaultSlowOps.SetThreshold(prev)
-		obs.DefaultSlowOps.Reset()
-	}()
-	obs.DefaultSlowOps.Reset()
+	floorSlowThreshold(t)
 
 	m := NewManager()
 	populate(m, 50)
 	m.Select(rdf.P(rdf.Zero, rdf.Zero, rdf.Zero)) // plain Select journals too
 
-	recs := obs.DefaultSlowOps.Recent()
+	recs := obs.DefaultTracer.SlowOps()
 	if len(recs) == 0 {
 		t.Fatal("no slow ops journaled")
 	}
@@ -173,6 +167,19 @@ func TestExplainJournalsSlowQueries(t *testing.T) {
 			t.Errorf("journal detail missing %q: %s", want, last.Detail)
 		}
 	}
+}
+
+// floorSlowThreshold makes every op slow for the rest of the test and
+// empties the default tracer's rings, restoring the threshold after.
+func floorSlowThreshold(t *testing.T) {
+	t.Helper()
+	prev := obs.DefaultTracer.SlowThreshold()
+	obs.DefaultTracer.SetSlowThreshold(time.Nanosecond)
+	obs.DefaultTracer.Reset()
+	t.Cleanup(func() {
+		obs.DefaultTracer.SetSlowThreshold(prev)
+		obs.DefaultTracer.Reset()
+	})
 }
 
 // TestExplainCountsWALObserver: a WAL-backed store's capture observer sees
@@ -203,15 +210,10 @@ func TestExplainCountsWALObserver(t *testing.T) {
 }
 
 // TestCtxQueriesJournalOnce: a slow query through a Ctx entry point makes
-// one slow-op entry, carrying its EXPLAIN line, not a second one from its
-// span.
+// one slow-ring entry, its span's, carrying its EXPLAIN line. With the
+// tracer off the query has no span and publishes the entry itself.
 func TestCtxQueriesJournalOnce(t *testing.T) {
-	prev := obs.DefaultSlowOps.Threshold()
-	obs.DefaultSlowOps.SetThreshold(time.Nanosecond)
-	defer func() {
-		obs.DefaultSlowOps.SetThreshold(prev)
-		obs.DefaultSlowOps.Reset()
-	}()
+	floorSlowThreshold(t)
 
 	m := NewManager()
 	populate(m, 50)
@@ -235,17 +237,26 @@ func TestCtxQueriesJournalOnce(t *testing.T) {
 		{"PathExplainCtx", "trim.path", "op=path", func() {
 			m.PathExplainCtx(ctx, []rdf.Term{root}, rdf.IRI("http://t/has"), rdf.IRI("http://t/next"))
 		}},
+		{"SelectCtx untraced", "trim.select", "op=select", func() {
+			obs.DefaultTracer.SetEnabled(false)
+			defer obs.DefaultTracer.SetEnabled(true)
+			m.SelectCtx(ctx, rdf.P(root, rdf.Zero, rdf.Zero))
+		}},
 	}
 	for _, c := range cases {
-		obs.DefaultSlowOps.Reset()
+		obs.DefaultTracer.Reset()
 		c.run()
-		recs := obs.DefaultSlowOps.Recent()
+		recs := obs.DefaultTracer.SlowOps()
 		if len(recs) != 1 {
 			t.Errorf("%s journaled %d entries, want 1: %+v", c.name, len(recs), recs)
 			continue
 		}
 		if recs[0].Op != c.op || !strings.HasPrefix(recs[0].Detail, c.explain+" ") {
 			t.Errorf("%s journaled %s %q, want %s with its EXPLAIN line", c.name, recs[0].Op, recs[0].Detail, c.op)
+		}
+		// A traced query's entry is its span, a child of the test's span.
+		if traced := !strings.HasSuffix(c.name, "untraced"); traced != (recs[0].Parent == parent.SpanID()) {
+			t.Errorf("%s: slow entry's parent is %s, traced %v", c.name, recs[0].Parent, traced)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package trim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -52,18 +51,27 @@ func patShape(p rdf.Pattern) string { return maskNames[patMask(p)] }
 // clock, and hands both readings to the store lock, so the op's latency
 // histogram, its span and the lock's wait and hold share one pair.
 
-// finishQuery ends a query whose report e is complete. An explained
-// query's span carries the EXPLAIN line as detail. A slow query is
-// journaled once, with its EXPLAIN line, not a second time by its span.
-// The span finishes with the query's wall time.
-func finishQuery(sp *obs.Span, e *Explain, explain bool) {
-	if explain && sp != nil {
-		sp.SetDetail(e.String())
+// finishQuery ends a query whose report e is complete but for its Query,
+// which query renders. An explained query's report gets its Query, and
+// its span the EXPLAIN line as detail. So does a slow query's, so that its
+// one slow-ring entry says which query was slow and why: its span's, or,
+// for a query that ran untraced, one published through
+// obs.Tracer.SlowOp, which renders the line only when the query was
+// slow. The span finishes with the query's wall time.
+func finishQuery(sp *obs.Span, op string, e *Explain, explain bool, query func() string) {
+	d := e.Wall()
+	line := func() string {
+		e.Query = query()
+		return e.String()
 	}
-	d := time.Duration(e.WallNS)
-	if obs.DefaultSlowOps.Slow(d) {
-		obs.DefaultSlowOps.Observe("trim."+e.Op, e.String(), time.Now().Add(-d), d, nil)
-		sp.SkipJournal()
+	switch {
+	case sp == nil:
+		if explain {
+			e.Query = query()
+		}
+		obs.DefaultTracer.SlowOp(op, d, nil, line)
+	case explain || obs.DefaultTracer.Slow(d):
+		sp.SetDetail(line())
 	}
 	sp.FinishDur(d, nil)
 }

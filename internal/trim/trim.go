@@ -283,8 +283,7 @@ func (m *Manager) SelectFiltered(p rdf.Pattern, keep func(rdf.Triple) bool) []rd
 // its latency, count and shape, and its span (nil for none), which it
 // finishes. The result uses buf's storage when it has room (buf is
 // empty; nil for none). An explained query passes its empty report as
-// explain, which comes back complete, its Query included; the report's
-// Query is also filled when the query was slow, for the journal.
+// explain, which comes back complete, its Query included.
 func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple) bool, explain *Explain, buf []rdf.Triple) []rdf.Triple {
 	var report Explain
 	e := explain
@@ -301,10 +300,7 @@ func (m *Manager) selectQuery(sp *obs.Span, p rdf.Pattern, keep func(rdf.Triple)
 	mSelectTotal.Inc()
 	shape.Record()
 	e.WallNS = int64(d)
-	if explain != nil || obs.DefaultSlowOps.Slow(d) {
-		e.Query = p.String()
-	}
-	finishQuery(sp, e, explain != nil)
+	finishQuery(sp, "trim.select", e, explain != nil, p.String)
 	return out
 }
 

@@ -30,8 +30,7 @@ func (m *Manager) ViewFiltered(root rdf.Term, filter func(rdf.Triple) bool) *rdf
 
 // viewQuery is every view entry point: the walk under the read lock, its
 // latency, count and shape, and its span (nil for none), which it
-// finishes. The report's Query is filled when explain asks for it or the
-// view was slow.
+// finishes. The report's Query is filled when explain asks for it.
 func (m *Manager) viewQuery(sp *obs.Span, root rdf.Term, filter func(rdf.Triple) bool, explain bool) (*rdf.Graph, Explain) {
 	start := sp.StartNS()
 	m.mu.RLockAt(start)
@@ -43,10 +42,7 @@ func (m *Manager) viewQuery(sp *obs.Span, root rdf.Term, filter func(rdf.Triple)
 	mViewTotal.Inc()
 	viewShape.Record()
 	e.WallNS = int64(d)
-	if explain || obs.DefaultSlowOps.Slow(d) {
-		e.Query = root.String()
-	}
-	finishQuery(sp, &e, explain)
+	finishQuery(sp, "trim.view", &e, explain, root.String)
 	return out, e
 }
 
